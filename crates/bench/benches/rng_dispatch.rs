@@ -9,24 +9,18 @@
 //!   and inlines it into the loop.
 //! * `dyn_ref` — `&mut dyn RngCore`, the object-safe `JoinSampler`
 //!   path: one virtual call per word.
-//! * `boxed_dyn` — `&mut dyn RngCore` *over* a `Box<dyn RngCore>`,
-//!   the shape a type-erased cursor holding a boxed RNG produces: the
-//!   outer vtable lands in the `Box<R>` forwarding impl, which
+//! * `boxed_dyn` — `&mut dyn RngCore` *over* a `Box<dyn RngCore>`:
+//!   the outer vtable lands in the `Box<R>` forwarding impl, which
 //!   re-enters the vtable for the inner generator — two virtual calls
 //!   per word.
-//! * `buffered_over_boxed_dyn` — the same double-forwarded generator
-//!   flattened through [`BufferedRng`]: the stash refill pays the two
-//!   virtual calls once per 64 words and every other draw is a pop
-//!   from a local array, which is how the type-erased overlay cursor
-//!   keeps batched RNG cost without giving up object safety.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rand::rngs::{BufferedRng, SmallRng};
+use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 use std::hint::black_box;
 
-/// Words per measured iteration: enough that loop overhead and the
-/// amortised `BufferedRng` refill reach steady state.
+/// Words per measured iteration: enough that loop overhead reaches
+/// steady state.
 const WORDS: usize = 4096;
 
 fn draw_words<R: RngCore + ?Sized>(rng: &mut R) -> u64 {
@@ -68,13 +62,6 @@ fn bench(c: &mut Criterion) {
         // double indirection this bench exists to expose.
         let dyn_rng: &mut dyn RngCore = &mut boxed;
         b.iter(|| black_box(draw_words(dyn_rng)));
-    });
-
-    g.bench_function("buffered_over_boxed_dyn", |b| {
-        let mut boxed = opaque_boxed(4);
-        let dyn_rng: &mut dyn RngCore = &mut boxed;
-        let mut buffered = BufferedRng::new(dyn_rng);
-        b.iter(|| black_box(draw_words(&mut buffered)));
     });
 
     g.finish();

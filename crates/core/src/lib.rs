@@ -79,7 +79,7 @@ pub use cellstore::{
     BbstCellCtx, CellStore, CellUnit, KdCellStore, PatchReport as CellPatchReport,
 };
 pub use config::{JoinPair, PhaseReport, SampleConfig, SampleError};
-pub use cursor::{AnySamplerIndex, Cursor, SamplerIndex};
+pub use cursor::{Cursor, SamplerIndex};
 pub use kds::{KdsCursor, KdsIndex, KdsSampler};
 pub use materialize::JoinThenSample;
 pub use overlay::{DeltaSet, OverlayIndex, OverlaySupport};

@@ -1,17 +1,25 @@
 //! The engine proper: one immutable index, many lightweight handles.
+//!
+//! Every engine serves one of the paper's three algorithms through the
+//! same generic stack: a [`ShardedIndex`] over `k ≥ 1` `R`-shards
+//! (one shard is the unsharded build), wrapped in an [`OverlayIndex`]
+//! while mutations are pending. The `Family` trait holds the only
+//! code that differs per algorithm — how its `S`-side is built,
+//! shared, patched and repaired.
 
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rand::rngs::{BufferedRng, SmallRng};
-use rand::{RngCore, SeedableRng};
+use rand::rngs::SmallRng;
+use rand::{Rng, RngCore, SeedableRng};
 use srj_core::{
-    AnySamplerIndex, BbstCursor, BbstIndex, BufferStats, CellPatchReport, Cursor, DeltaSet,
-    JoinPair, JoinSampler, KdsCursor, KdsIndex, KdsRejectionCursor, KdsRejectionIndex,
-    OverlayIndex, OverlaySupport, PhaseReport, SampleConfig, SampleError, SamplerIndex as _,
+    BbstIndex, BbstSStructures, BufferStats, CellPatchReport, Cursor, DeltaSet, JoinPair,
+    JoinSampler, KdCellStore, KdsIndex, KdsRejectionIndex, OverlayIndex, OverlaySupport,
+    PhaseReport, SampleConfig, SampleError, SamplerIndex,
 };
-use srj_geom::Point;
+use srj_geom::{Point, PointId};
 
 use crate::planner::{plan, PlanReport};
 use crate::shard::ShardedIndex;
@@ -38,25 +46,415 @@ impl std::fmt::Display for Algorithm {
     }
 }
 
-/// The built index: one variant per algorithm, unsharded or
-/// `R`-sharded (see [`crate::shard`]).
+/// Runs `$body` with `$x` bound to the payload of whichever algorithm
+/// variant `$value` (an `IndexKind` or `CursorKind`) holds — the
+/// one place the three families are told apart at run time.
+macro_rules! each_algorithm {
+    ($kind:ident, $value:expr, $x:ident => $body:expr) => {
+        match $value {
+            $kind::Kds($x) => $body,
+            $kind::KdsRejection($x) => $body,
+            $kind::Bbst($x) => $body,
+        }
+    };
+}
+
+/// The built index: one generic `Stack` per algorithm.
 enum IndexKind {
-    Kds(Arc<KdsIndex>),
-    KdsRejection(Arc<KdsRejectionIndex>),
-    Bbst(Arc<BbstIndex>),
-    ShardedKds(Arc<ShardedIndex<KdsIndex>>),
-    ShardedKdsRejection(Arc<ShardedIndex<KdsRejectionIndex>>),
-    ShardedBbst(Arc<ShardedIndex<BbstIndex>>),
-    /// Type-erased index — a delta [`OverlayIndex`] over any of the
-    /// above (the overlay's concrete type depends on the base
-    /// algorithm, so the enum would otherwise double). The algorithm
-    /// and shard topology are recorded alongside because they can no
-    /// longer be pattern-matched out.
-    Dyn {
-        index: Arc<dyn AnySamplerIndex>,
-        algorithm: Algorithm,
-        shards: usize,
-    },
+    Kds(Arc<Stack<KdsIndex>>),
+    KdsRejection(Arc<Stack<KdsRejectionIndex>>),
+    Bbst(Arc<Stack<BbstIndex>>),
+}
+
+impl IndexKind {
+    fn algorithm(&self) -> Algorithm {
+        match self {
+            IndexKind::Kds(_) => Algorithm::Kds,
+            IndexKind::KdsRejection(_) => Algorithm::KdsRejection,
+            IndexKind::Bbst(_) => Algorithm::Bbst,
+        }
+    }
+}
+
+/// One algorithm's serving index: the full build over `k ≥ 1`
+/// `R`-shards, or that build under a delta overlay while mutations
+/// are pending. Both layers draw through the base's scratch, so one
+/// monomorphised cursor type (and its buffered fast path) serves
+/// either.
+enum Stack<I: SamplerIndex> {
+    Built(Arc<ShardedIndex<I>>),
+    Overlay(Box<OverlayIndex<ShardedIndex<I>>>),
+}
+
+macro_rules! on_layer {
+    ($stack:expr, $ix:ident => $body:expr) => {
+        match $stack {
+            Stack::Built($ix) => $body,
+            Stack::Overlay($ix) => $body,
+        }
+    };
+}
+
+impl<I: SamplerIndex> Stack<I> {
+    /// The full build underneath (the overlay's base, if any).
+    fn sharded(&self) -> &Arc<ShardedIndex<I>> {
+        match self {
+            Stack::Built(sx) => sx,
+            Stack::Overlay(ov) => ov.base(),
+        }
+    }
+
+    /// The full build, or `None` while serving through an overlay
+    /// (derived builds always start from the epoch's full build).
+    fn built(&self) -> Option<&Arc<ShardedIndex<I>>> {
+        match self {
+            Stack::Built(sx) => Some(sx),
+            Stack::Overlay(_) => None,
+        }
+    }
+}
+
+impl<I: SamplerIndex> SamplerIndex for Stack<I> {
+    type Scratch = I::Scratch;
+
+    fn algorithm_name(&self) -> &'static str {
+        self.sharded().algorithm_name()
+    }
+
+    fn try_draw<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        scratch: &mut Self::Scratch,
+        stats: &mut PhaseReport,
+    ) -> Result<Option<JoinPair>, SampleError> {
+        on_layer!(self, ix => ix.try_draw(rng, scratch, stats))
+    }
+
+    fn rejection_limit(&self) -> u64 {
+        on_layer!(self, ix => ix.rejection_limit())
+    }
+
+    fn total_weight(&self) -> f64 {
+        on_layer!(self, ix => ix.total_weight())
+    }
+
+    fn cell_count(&self) -> usize {
+        // An overlay's base draws keep attributing rejections to the
+        // base's cells.
+        self.sharded().cell_count()
+    }
+
+    fn drain_cell_rejections(scratch: &mut Self::Scratch, out: &mut Vec<u32>) {
+        I::drain_cell_rejections(scratch, out);
+    }
+
+    fn set_buffers(scratch: &mut Self::Scratch, enabled: bool) {
+        I::set_buffers(scratch, enabled);
+    }
+
+    fn warm_buffers(scratch: &mut Self::Scratch, slots: &[u32]) {
+        I::warm_buffers(scratch, slots);
+    }
+
+    fn seed_buffers(scratch: &mut Self::Scratch, seed: u64) {
+        I::seed_buffers(scratch, seed);
+    }
+
+    fn drain_buffer_stats(scratch: &mut Self::Scratch) -> BufferStats {
+        I::drain_buffer_stats(scratch)
+    }
+
+    fn index_build_report(&self) -> PhaseReport {
+        on_layer!(self, ix => ix.index_build_report())
+    }
+
+    fn index_memory_bytes(&self) -> usize {
+        on_layer!(self, ix => ix.index_memory_bytes())
+    }
+}
+
+/// The per-algorithm half of every build: how the `S`-side is built,
+/// shared between shards, patched cell by cell and repaired. The
+/// sharding, overlay and rebuild logic is written once over it.
+trait Family: SamplerIndex + Sized + 'static {
+    /// The `Arc`-shared `S`-side structures every shard builds against.
+    type SSide: Sync;
+
+    /// The plain unsharded build, with the paper's phase split.
+    fn build(r: &[Point], s: &[Point], config: &SampleConfig) -> Self;
+
+    /// Builds only the `S`-side, with a report of the phases it cost.
+    fn build_s_side(s: &[Point], config: &SampleConfig) -> (Self::SSide, PhaseReport);
+
+    /// Builds over an already-built `S`-side (charged to its builder).
+    fn build_shared(r: &[Point], s_side: &Self::SSide, config: &SampleConfig) -> Self;
+
+    /// This index's `S`-side, sharing its allocation.
+    fn s_side(&self) -> Self::SSide;
+
+    /// Rebuilds only the cells the `S` mutations touch; every clean
+    /// cell stays `Arc`-shared with `s_side`.
+    fn patch(
+        s_side: &Self::SSide,
+        inserted: &[Point],
+        deleted: &HashSet<PointId>,
+    ) -> (Self::SSide, CellPatchReport);
+
+    /// Per-cell sharing tokens of an `S`-side (see
+    /// [`Engine::s_cell_tokens`]).
+    fn cell_tokens(s_side: &Self::SSide) -> Vec<((i32, i32), usize)>;
+
+    /// Re-tightens the named cells to exact bounds. Only the BBST
+    /// family has a per-cell knob to turn.
+    fn repair(&self, _slots: &[u32]) -> Option<Self> {
+        None
+    }
+
+    /// Wraps a stack of this family into the engine's index enum.
+    fn wrap(stack: Arc<Stack<Self>>) -> IndexKind;
+}
+
+impl Family for KdsIndex {
+    type SSide = Arc<KdCellStore>;
+
+    fn build(r: &[Point], s: &[Point], config: &SampleConfig) -> Self {
+        KdsIndex::build(r, s, config)
+    }
+
+    fn build_s_side(s: &[Point], config: &SampleConfig) -> (Self::SSide, PhaseReport) {
+        let (s_cells, preprocessing) = KdsIndex::build_s_structure(s, config);
+        let report = PhaseReport {
+            preprocessing,
+            ..PhaseReport::default()
+        };
+        (s_cells, report)
+    }
+
+    fn build_shared(r: &[Point], s_side: &Self::SSide, config: &SampleConfig) -> Self {
+        KdsIndex::build_shared(r, Arc::clone(s_side), config)
+    }
+
+    fn s_side(&self) -> Self::SSide {
+        self.s_cells()
+    }
+
+    fn patch(
+        s_side: &Self::SSide,
+        inserted: &[Point],
+        deleted: &HashSet<PointId>,
+    ) -> (Self::SSide, CellPatchReport) {
+        let (s_cells, report) = s_side.patch(inserted, deleted);
+        (Arc::new(s_cells), report)
+    }
+
+    fn cell_tokens(s_side: &Self::SSide) -> Vec<((i32, i32), usize)> {
+        s_side.store().cell_tokens()
+    }
+
+    fn wrap(stack: Arc<Stack<Self>>) -> IndexKind {
+        IndexKind::Kds(stack)
+    }
+}
+
+impl Family for KdsRejectionIndex {
+    type SSide = Arc<KdCellStore>;
+
+    fn build(r: &[Point], s: &[Point], config: &SampleConfig) -> Self {
+        KdsRejectionIndex::build(r, s, config)
+    }
+
+    fn build_s_side(s: &[Point], config: &SampleConfig) -> (Self::SSide, PhaseReport) {
+        let (s_cells, preprocessing, grid_mapping) =
+            KdsRejectionIndex::build_s_structures(s, config);
+        let report = PhaseReport {
+            preprocessing,
+            grid_mapping,
+            ..PhaseReport::default()
+        };
+        (s_cells, report)
+    }
+
+    fn build_shared(r: &[Point], s_side: &Self::SSide, config: &SampleConfig) -> Self {
+        KdsRejectionIndex::build_shared(r, Arc::clone(s_side), config)
+    }
+
+    fn s_side(&self) -> Self::SSide {
+        self.s_structures()
+    }
+
+    fn patch(
+        s_side: &Self::SSide,
+        inserted: &[Point],
+        deleted: &HashSet<PointId>,
+    ) -> (Self::SSide, CellPatchReport) {
+        let (s_cells, report) = s_side.patch(inserted, deleted);
+        (Arc::new(s_cells), report)
+    }
+
+    fn cell_tokens(s_side: &Self::SSide) -> Vec<((i32, i32), usize)> {
+        s_side.store().cell_tokens()
+    }
+
+    fn wrap(stack: Arc<Stack<Self>>) -> IndexKind {
+        IndexKind::KdsRejection(stack)
+    }
+}
+
+impl Family for BbstIndex {
+    type SSide = BbstSStructures;
+
+    fn build(r: &[Point], s: &[Point], config: &SampleConfig) -> Self {
+        BbstIndex::build(r, s, config)
+    }
+
+    fn build_s_side(s: &[Point], config: &SampleConfig) -> (Self::SSide, PhaseReport) {
+        let s_side = BbstIndex::build_s_structures(s, config);
+        let report = PhaseReport {
+            preprocessing: s_side.preprocessing,
+            grid_mapping: s_side.grid_mapping,
+            ..PhaseReport::default()
+        };
+        (s_side, report)
+    }
+
+    fn build_shared(r: &[Point], s_side: &Self::SSide, config: &SampleConfig) -> Self {
+        BbstIndex::build_shared(r, config, s_side)
+    }
+
+    fn s_side(&self) -> Self::SSide {
+        self.s_structures()
+    }
+
+    fn patch(
+        s_side: &Self::SSide,
+        inserted: &[Point],
+        deleted: &HashSet<PointId>,
+    ) -> (Self::SSide, CellPatchReport) {
+        s_side.patch(inserted, deleted)
+    }
+
+    fn cell_tokens(s_side: &Self::SSide) -> Vec<((i32, i32), usize)> {
+        s_side.store().cell_tokens()
+    }
+
+    fn repair(&self, slots: &[u32]) -> Option<Self> {
+        self.with_exact_cells(slots)
+    }
+
+    fn wrap(stack: Arc<Stack<Self>>) -> IndexKind {
+        IndexKind::Bbst(stack)
+    }
+}
+
+/// Wraps a full build as an engine index.
+fn into_index<I: Family>(sx: ShardedIndex<I>) -> IndexKind {
+    I::wrap(Arc::new(Stack::Built(Arc::new(sx))))
+}
+
+/// Wraps one unsharded index as an engine index.
+fn unsharded<I: Family>(index: I) -> IndexKind {
+    into_index(ShardedIndex::single(Arc::new(index)))
+}
+
+/// Builds `R`'s shards against one already-built `S`-side. One shard
+/// builds with the whole thread budget and keeps its own report;
+/// `base` (the `S`-side's phases) is folded into a multi-shard report.
+fn shard_over<I: Family>(
+    r: &[Point],
+    s_side: &I::SSide,
+    config: &SampleConfig,
+    shards: usize,
+    base: PhaseReport,
+) -> ShardedIndex<I> {
+    if shards <= 1 {
+        return ShardedIndex::single(Arc::new(I::build_shared(r, s_side, config)));
+    }
+    // The parallelism budget is spent across shards; nested parallel
+    // per-shard builds would oversubscribe the cores.
+    let shard_cfg = SampleConfig {
+        build_threads: 1,
+        ..*config
+    };
+    ShardedIndex::build_with_base(r, config, shards, base, |chunk| {
+        I::build_shared(chunk, s_side, &shard_cfg)
+    })
+}
+
+/// A fresh build over `shards ≥ 1` shards. The `S`-side structures
+/// depend only on `S`, never on a shard's slice of `R`, so a sharded
+/// build makes them ONCE — with the full `build_threads` budget — and
+/// `Arc`-shares them into every shard: k shards cost one `S`-side, not
+/// k (`ShardedIndex::index_memory_bytes` counts it once).
+fn build_stack<I: Family>(
+    r: &[Point],
+    s: &[Point],
+    config: &SampleConfig,
+    shards: usize,
+) -> IndexKind {
+    if shards <= 1 {
+        return unsharded(I::build(r, s, config));
+    }
+    let (s_side, base) = I::build_s_side(s, config);
+    into_index(shard_over::<I>(r, &s_side, config, shards, base))
+}
+
+impl<I: Family> Stack<I> {
+    fn with_overlay(
+        &self,
+        delta: DeltaSet,
+        support: &OverlaySupport,
+        config: &SampleConfig,
+    ) -> IndexKind {
+        let base = self
+            .built()
+            .expect("overlay engines must wrap the epoch's full build, not another overlay");
+        let overlay = OverlayIndex::new(Arc::clone(base), delta, support, config);
+        I::wrap(Arc::new(Stack::Overlay(Box::new(overlay))))
+    }
+
+    /// A full build over a new `R` and `s_side`, keeping the shard
+    /// count of `sx`.
+    fn rebuild(
+        sx: &ShardedIndex<I>,
+        r: &[Point],
+        s_side: &I::SSide,
+        config: &SampleConfig,
+    ) -> IndexKind {
+        let shards = sx.shard_count();
+        into_index(shard_over::<I>(
+            r,
+            s_side,
+            config,
+            shards,
+            PhaseReport::default(),
+        ))
+    }
+
+    fn rebuild_r_only(&self, r: &[Point], config: &SampleConfig) -> Option<IndexKind> {
+        let sx = self.built()?;
+        Some(Self::rebuild(sx, r, &sx.shard(0).s_side(), config))
+    }
+
+    fn rebuild_with_s_patch(
+        &self,
+        r: &[Point],
+        config: &SampleConfig,
+        inserted_s: &[Point],
+        deleted_s: &HashSet<PointId>,
+    ) -> Option<(IndexKind, CellPatchReport)> {
+        let sx = self.built()?;
+        let (s_side, report) = I::patch(&sx.shard(0).s_side(), inserted_s, deleted_s);
+        Some((Self::rebuild(sx, r, &s_side, config), report))
+    }
+
+    fn repair_cells(&self, slots: &[u32]) -> Option<IndexKind> {
+        let sx = self.built()?;
+        Some(into_index(sx.try_map_shards(|shard| shard.repair(slots))?))
+    }
+
+    fn s_cell_tokens(&self) -> Option<Vec<((i32, i32), usize)>> {
+        self.built().map(|sx| I::cell_tokens(&sx.shard(0).s_side()))
+    }
 }
 
 /// State shared by an engine and every handle it has issued.
@@ -76,19 +474,6 @@ struct EngineShared {
     buffers: AtomicBool,
     /// Sequence number for auto-seeded handles.
     handle_seq: AtomicU64,
-}
-
-/// `S`-cell count of an index (0 = not cell-granular).
-fn index_cell_count(index: &IndexKind) -> usize {
-    match index {
-        IndexKind::Kds(ix) => ix.cell_count(),
-        IndexKind::KdsRejection(ix) => ix.cell_count(),
-        IndexKind::Bbst(ix) => ix.cell_count(),
-        IndexKind::ShardedKds(ix) => ix.cell_count(),
-        IndexKind::ShardedKdsRejection(ix) => ix.cell_count(),
-        IndexKind::ShardedBbst(ix) => ix.cell_count(),
-        IndexKind::Dyn { index, .. } => index.any_cell_count(),
-    }
 }
 
 /// A build-once / serve-many join-sampling service over one `(R, S, l)`
@@ -134,7 +519,7 @@ const _: () = {
 impl Engine {
     /// Builds the index for `algorithm` once and wraps it for serving.
     pub fn build(r: &[Point], s: &[Point], config: &SampleConfig, algorithm: Algorithm) -> Engine {
-        Engine::build_inner(r, s, config, algorithm, None)
+        Engine::build_sharded_inner(r, s, config, algorithm, 1, None)
     }
 
     /// Like [`Engine::build`], but partitions `R` into `shards`
@@ -161,70 +546,10 @@ impl Engine {
         shards: usize,
         plan: Option<PlanReport>,
     ) -> Engine {
-        if shards <= 1 {
-            return Engine::build_inner(r, s, config, algorithm, plan);
-        }
-        // The parallelism budget is spent across shards; nested
-        // parallel per-shard builds would oversubscribe the cores.
-        let shard_cfg = SampleConfig {
-            build_threads: 1,
-            ..*config
-        };
-        // The S-side structures (kd-tree / grid / per-cell BBSTs)
-        // depend only on `S`, never on the shard's slice of `R`, so
-        // they are built ONCE — with the full `build_threads` budget —
-        // and Arc-shared into every shard: k shards cost one S-side,
-        // not k (`ShardedIndex::index_memory_bytes` counts the shared
-        // allocation once). The S-side build time is folded into the
-        // sharded report via `build_with_base`.
         let index = match algorithm {
-            Algorithm::Kds => {
-                let (s_cells, preprocessing) = KdsIndex::build_s_structure(s, config);
-                let base = PhaseReport {
-                    preprocessing,
-                    ..PhaseReport::default()
-                };
-                IndexKind::ShardedKds(Arc::new(ShardedIndex::build_with_base(
-                    r,
-                    config,
-                    shards,
-                    base,
-                    |chunk| KdsIndex::build_shared(chunk, Arc::clone(&s_cells), &shard_cfg),
-                )))
-            }
-            Algorithm::KdsRejection => {
-                let (s_cells, preprocessing, grid_mapping) =
-                    KdsRejectionIndex::build_s_structures(s, config);
-                let base = PhaseReport {
-                    preprocessing,
-                    grid_mapping,
-                    ..PhaseReport::default()
-                };
-                IndexKind::ShardedKdsRejection(Arc::new(ShardedIndex::build_with_base(
-                    r,
-                    config,
-                    shards,
-                    base,
-                    |chunk| {
-                        KdsRejectionIndex::build_shared(chunk, Arc::clone(&s_cells), &shard_cfg)
-                    },
-                )))
-            }
-            Algorithm::Bbst => {
-                let s_side = BbstIndex::build_s_structures(s, config);
-                let base = PhaseReport {
-                    preprocessing: s_side.preprocessing,
-                    grid_mapping: s_side.grid_mapping,
-                    ..PhaseReport::default()
-                };
-                IndexKind::ShardedBbst(Arc::new(ShardedIndex::build_with_base(
-                    r,
-                    config,
-                    shards,
-                    base,
-                    |chunk| BbstIndex::build_shared(chunk, &shard_cfg, &s_side),
-                )))
-            }
+            Algorithm::Kds => build_stack::<KdsIndex>(r, s, config, shards),
+            Algorithm::KdsRejection => build_stack::<KdsRejectionIndex>(r, s, config, shards),
+            Algorithm::Bbst => build_stack::<BbstIndex>(r, s, config, shards),
         };
         Engine::from_index(index, plan, true)
     }
@@ -239,15 +564,15 @@ impl Engine {
     pub fn auto(r: &[Point], s: &[Point], config: &SampleConfig) -> Engine {
         let (report, estimation_grid) = plan(r, s, config, 1);
         let index = match (report.algorithm, estimation_grid) {
-            (Algorithm::KdsRejection, Some((grid, grid_time))) => {
-                IndexKind::KdsRejection(Arc::new(KdsRejectionIndex::build_with_grid(
-                    r, s, config, grid, grid_time,
-                )))
+            (Algorithm::KdsRejection, Some((grid, grid_time))) => unsharded(
+                KdsRejectionIndex::build_with_grid(r, s, config, grid, grid_time),
+            ),
+            (Algorithm::Bbst, Some((grid, grid_time))) => {
+                unsharded(BbstIndex::build_with_grid(r, config, grid, grid_time))
             }
-            (Algorithm::Bbst, Some((grid, grid_time))) => IndexKind::Bbst(Arc::new(
-                BbstIndex::build_with_grid(r, config, grid, grid_time),
-            )),
-            (algorithm, _) => return Engine::build_inner(r, s, config, algorithm, Some(report)),
+            (algorithm, _) => {
+                return Engine::build_sharded_inner(r, s, config, algorithm, 1, Some(report))
+            }
         };
         Engine::from_index(index, Some(report), true)
     }
@@ -265,23 +590,6 @@ impl Engine {
         let (report, _grid) = plan(r, s, config, shards);
         let shards = report.num_shards;
         Engine::build_sharded_inner(r, s, config, report.algorithm, shards, Some(report))
-    }
-
-    fn build_inner(
-        r: &[Point],
-        s: &[Point],
-        config: &SampleConfig,
-        algorithm: Algorithm,
-        plan: Option<PlanReport>,
-    ) -> Engine {
-        let index = match algorithm {
-            Algorithm::Kds => IndexKind::Kds(Arc::new(KdsIndex::build(r, s, config))),
-            Algorithm::KdsRejection => {
-                IndexKind::KdsRejection(Arc::new(KdsRejectionIndex::build(r, s, config)))
-            }
-            Algorithm::Bbst => IndexKind::Bbst(Arc::new(BbstIndex::build(r, s, config))),
-        };
-        Engine::from_index(index, plan, true)
     }
 
     /// Wraps this engine's index in a delta [`OverlayIndex`], producing
@@ -304,40 +612,10 @@ impl Engine {
         support: &OverlaySupport,
         config: &SampleConfig,
     ) -> Engine {
-        let algorithm = self.algorithm();
-        let shards = self.shards();
-        let index: Arc<dyn AnySamplerIndex> = match &self.shared.index {
-            IndexKind::Kds(ix) => {
-                Arc::new(OverlayIndex::new(Arc::clone(ix), delta, support, config))
-            }
-            IndexKind::KdsRejection(ix) => {
-                Arc::new(OverlayIndex::new(Arc::clone(ix), delta, support, config))
-            }
-            IndexKind::Bbst(ix) => {
-                Arc::new(OverlayIndex::new(Arc::clone(ix), delta, support, config))
-            }
-            IndexKind::ShardedKds(ix) => {
-                Arc::new(OverlayIndex::new(Arc::clone(ix), delta, support, config))
-            }
-            IndexKind::ShardedKdsRejection(ix) => {
-                Arc::new(OverlayIndex::new(Arc::clone(ix), delta, support, config))
-            }
-            IndexKind::ShardedBbst(ix) => {
-                Arc::new(OverlayIndex::new(Arc::clone(ix), delta, support, config))
-            }
-            IndexKind::Dyn { .. } => {
-                panic!("overlay engines must wrap the epoch's full build, not another overlay")
-            }
-        };
-        Engine::from_index(
-            IndexKind::Dyn {
-                index,
-                algorithm,
-                shards,
-            },
-            self.shared.plan,
-            self.buffers_enabled(),
-        )
+        let index = each_algorithm!(IndexKind, &self.shared.index, ix => {
+            ix.with_overlay(delta, support, config)
+        });
+        Engine::from_index(index, self.shared.plan, self.buffers_enabled())
     }
 
     /// Rebuilds this engine over a new `R` while **reusing** its
@@ -351,53 +629,9 @@ impl Engine {
     /// `config` matches the original build (`build_shared` asserts the
     /// structural parts).
     pub fn rebuild_r_only(&self, r: &[Point], config: &SampleConfig) -> Option<Engine> {
-        let shard_cfg = SampleConfig {
-            build_threads: 1,
-            ..*config
-        };
-        let index = match &self.shared.index {
-            IndexKind::Kds(ix) => {
-                IndexKind::Kds(Arc::new(KdsIndex::build_shared(r, ix.s_cells(), config)))
-            }
-            IndexKind::KdsRejection(ix) => IndexKind::KdsRejection(Arc::new(
-                KdsRejectionIndex::build_shared(r, ix.s_structures(), config),
-            )),
-            IndexKind::Bbst(ix) => IndexKind::Bbst(Arc::new(BbstIndex::build_shared(
-                r,
-                config,
-                &ix.s_structures(),
-            ))),
-            IndexKind::ShardedKds(sx) => {
-                let s_cells = sx.shard(0).s_cells();
-                IndexKind::ShardedKds(Arc::new(ShardedIndex::build(
-                    r,
-                    config,
-                    sx.shard_count(),
-                    |chunk| KdsIndex::build_shared(chunk, Arc::clone(&s_cells), &shard_cfg),
-                )))
-            }
-            IndexKind::ShardedKdsRejection(sx) => {
-                let s_cells = sx.shard(0).s_structures();
-                IndexKind::ShardedKdsRejection(Arc::new(ShardedIndex::build(
-                    r,
-                    config,
-                    sx.shard_count(),
-                    |chunk| {
-                        KdsRejectionIndex::build_shared(chunk, Arc::clone(&s_cells), &shard_cfg)
-                    },
-                )))
-            }
-            IndexKind::ShardedBbst(sx) => {
-                let s_side = sx.shard(0).s_structures();
-                IndexKind::ShardedBbst(Arc::new(ShardedIndex::build(
-                    r,
-                    config,
-                    sx.shard_count(),
-                    |chunk| BbstIndex::build_shared(chunk, &shard_cfg, &s_side),
-                )))
-            }
-            IndexKind::Dyn { .. } => return None,
-        };
+        let index = each_algorithm!(IndexKind, &self.shared.index, ix => {
+            ix.rebuild_r_only(r, config)
+        })?;
         // The old plan described the pre-mutation workload.
         Some(Engine::from_index(index, None, self.buffers_enabled()))
     }
@@ -419,84 +653,11 @@ impl Engine {
         r: &[Point],
         config: &SampleConfig,
         inserted_s: &[Point],
-        deleted_s: &std::collections::HashSet<srj_geom::PointId>,
+        deleted_s: &HashSet<PointId>,
     ) -> Option<(Engine, CellPatchReport)> {
-        let shard_cfg = SampleConfig {
-            build_threads: 1,
-            ..*config
-        };
-        let (index, report) = match &self.shared.index {
-            IndexKind::Kds(ix) => {
-                let (s_cells, rep) = ix.s_cells().patch(inserted_s, deleted_s);
-                (
-                    IndexKind::Kds(Arc::new(KdsIndex::build_shared(
-                        r,
-                        Arc::new(s_cells),
-                        config,
-                    ))),
-                    rep,
-                )
-            }
-            IndexKind::KdsRejection(ix) => {
-                let (s_cells, rep) = ix.s_structures().patch(inserted_s, deleted_s);
-                (
-                    IndexKind::KdsRejection(Arc::new(KdsRejectionIndex::build_shared(
-                        r,
-                        Arc::new(s_cells),
-                        config,
-                    ))),
-                    rep,
-                )
-            }
-            IndexKind::Bbst(ix) => {
-                let (s_side, rep) = ix.s_structures().patch(inserted_s, deleted_s);
-                (
-                    IndexKind::Bbst(Arc::new(BbstIndex::build_shared(r, config, &s_side))),
-                    rep,
-                )
-            }
-            IndexKind::ShardedKds(sx) => {
-                let (s_cells, rep) = sx.shard(0).s_cells().patch(inserted_s, deleted_s);
-                let s_cells = Arc::new(s_cells);
-                (
-                    IndexKind::ShardedKds(Arc::new(ShardedIndex::build(
-                        r,
-                        config,
-                        sx.shard_count(),
-                        |chunk| KdsIndex::build_shared(chunk, Arc::clone(&s_cells), &shard_cfg),
-                    ))),
-                    rep,
-                )
-            }
-            IndexKind::ShardedKdsRejection(sx) => {
-                let (s_cells, rep) = sx.shard(0).s_structures().patch(inserted_s, deleted_s);
-                let s_cells = Arc::new(s_cells);
-                (
-                    IndexKind::ShardedKdsRejection(Arc::new(ShardedIndex::build(
-                        r,
-                        config,
-                        sx.shard_count(),
-                        |chunk| {
-                            KdsRejectionIndex::build_shared(chunk, Arc::clone(&s_cells), &shard_cfg)
-                        },
-                    ))),
-                    rep,
-                )
-            }
-            IndexKind::ShardedBbst(sx) => {
-                let (s_side, rep) = sx.shard(0).s_structures().patch(inserted_s, deleted_s);
-                (
-                    IndexKind::ShardedBbst(Arc::new(ShardedIndex::build(
-                        r,
-                        config,
-                        sx.shard_count(),
-                        |chunk| BbstIndex::build_shared(chunk, &shard_cfg, &s_side),
-                    ))),
-                    rep,
-                )
-            }
-            IndexKind::Dyn { .. } => return None,
-        };
+        let (index, report) = each_algorithm!(IndexKind, &self.shared.index, ix => {
+            ix.rebuild_with_s_patch(r, config, inserted_s, deleted_s)
+        })?;
         Some((
             Engine::from_index(index, None, self.buffers_enabled()),
             report,
@@ -511,13 +672,7 @@ impl Engine {
     /// (and overlay engines) return `None`, as does a repair that
     /// would change nothing (every named cell already exact).
     pub fn repair_cells(&self, slots: &[u32]) -> Option<Engine> {
-        let index = match &self.shared.index {
-            IndexKind::Bbst(ix) => IndexKind::Bbst(Arc::new(ix.with_exact_cells(slots)?)),
-            IndexKind::ShardedBbst(sx) => IndexKind::ShardedBbst(Arc::new(
-                sx.try_map_shards(|shard| shard.with_exact_cells(slots))?,
-            )),
-            _ => return None,
-        };
+        let index = each_algorithm!(IndexKind, &self.shared.index, ix => ix.repair_cells(slots))?;
         Some(Engine::from_index(
             index,
             self.shared.plan,
@@ -531,7 +686,7 @@ impl Engine {
     /// (overlays, rebuilds, repairs) so an operator's toggle survives
     /// epoch swaps.
     fn from_index(index: IndexKind, plan: Option<PlanReport>, buffers: bool) -> Engine {
-        let cells = index_cell_count(&index);
+        let cells = each_algorithm!(IndexKind, &index, ix => ix.cell_count());
         Engine {
             shared: Arc::new(EngineShared {
                 index,
@@ -561,7 +716,7 @@ impl Engine {
     /// Whether this engine serves through a delta overlay (pending
     /// mutations present) rather than a full build.
     pub fn is_overlay(&self) -> bool {
-        matches!(self.shared.index, IndexKind::Dyn { .. })
+        each_algorithm!(IndexKind, &self.shared.index, ix => ix.built().is_none())
     }
 
     /// Whether `self` and `other` are clones of the same engine (share
@@ -573,25 +728,12 @@ impl Engine {
 
     /// The algorithm this engine serves with.
     pub fn algorithm(&self) -> Algorithm {
-        match &self.shared.index {
-            IndexKind::Kds(_) | IndexKind::ShardedKds(_) => Algorithm::Kds,
-            IndexKind::KdsRejection(_) | IndexKind::ShardedKdsRejection(_) => {
-                Algorithm::KdsRejection
-            }
-            IndexKind::Bbst(_) | IndexKind::ShardedBbst(_) => Algorithm::Bbst,
-            IndexKind::Dyn { algorithm, .. } => *algorithm,
-        }
+        self.shared.index.algorithm()
     }
 
     /// How many `R` shards this engine serves from (`1` when unsharded).
     pub fn shards(&self) -> usize {
-        match &self.shared.index {
-            IndexKind::Kds(_) | IndexKind::KdsRejection(_) | IndexKind::Bbst(_) => 1,
-            IndexKind::ShardedKds(ix) => ix.shard_count(),
-            IndexKind::ShardedKdsRejection(ix) => ix.shard_count(),
-            IndexKind::ShardedBbst(ix) => ix.shard_count(),
-            IndexKind::Dyn { shards, .. } => *shards,
-        }
+        each_algorithm!(IndexKind, &self.shared.index, ix => ix.sharded().shard_count())
     }
 
     /// The planner's decision report, if this engine came from
@@ -622,17 +764,9 @@ impl Engine {
     /// same seed over the same engine draw identical sample streams.
     pub fn handle_seeded(&self, seed: u64) -> SamplerHandle {
         let cursor = match &self.shared.index {
-            IndexKind::Kds(ix) => CursorKind::Kds(KdsCursor::new(Arc::clone(ix))),
-            IndexKind::KdsRejection(ix) => {
-                CursorKind::KdsRejection(KdsRejectionCursor::new(Arc::clone(ix)))
-            }
-            IndexKind::Bbst(ix) => CursorKind::Bbst(BbstCursor::new(Arc::clone(ix))),
-            IndexKind::ShardedKds(ix) => CursorKind::ShardedKds(Cursor::new(Arc::clone(ix))),
-            IndexKind::ShardedKdsRejection(ix) => {
-                CursorKind::ShardedKdsRejection(Cursor::new(Arc::clone(ix)))
-            }
-            IndexKind::ShardedBbst(ix) => CursorKind::ShardedBbst(Cursor::new(Arc::clone(ix))),
-            IndexKind::Dyn { index, .. } => CursorKind::Dyn(Arc::clone(index).any_cursor()),
+            IndexKind::Kds(ix) => CursorKind::Kds(Cursor::new(Arc::clone(ix))),
+            IndexKind::KdsRejection(ix) => CursorKind::KdsRejection(Cursor::new(Arc::clone(ix))),
+            IndexKind::Bbst(ix) => CursorKind::Bbst(Cursor::new(Arc::clone(ix))),
         };
         SamplerHandle {
             cursor,
@@ -662,34 +796,19 @@ impl Engine {
         self.shared.stats.sample_counters()
     }
 
-    /// Build-phase timing of the underlying index. For sharded engines
-    /// the phase decomposition is collapsed: `upper_bounding` is the
-    /// wall-clock of the whole parallel shard-build and
-    /// `upper_bounding_cpu` the summed per-shard build time.
+    /// Build-phase timing of the underlying index. Unsharded engines
+    /// keep the paper's phase split (preprocessing, GM, UB). For
+    /// sharded engines the `R`-side decomposition is collapsed:
+    /// `upper_bounding` is the wall-clock of the whole parallel
+    /// shard-build and `upper_bounding_cpu` the summed per-shard build
+    /// time.
     pub fn build_report(&self) -> PhaseReport {
-        use srj_core::SamplerIndex as _;
-        match &self.shared.index {
-            IndexKind::Kds(ix) => ix.build_report(),
-            IndexKind::KdsRejection(ix) => ix.build_report(),
-            IndexKind::Bbst(ix) => ix.build_report(),
-            IndexKind::ShardedKds(ix) => ix.index_build_report(),
-            IndexKind::ShardedKdsRejection(ix) => ix.index_build_report(),
-            IndexKind::ShardedBbst(ix) => ix.index_build_report(),
-            IndexKind::Dyn { index, .. } => index.any_build_report(),
-        }
+        each_algorithm!(IndexKind, &self.shared.index, ix => ix.index_build_report())
     }
 
     /// Approximate heap footprint of the shared index.
     pub fn memory_bytes(&self) -> usize {
-        match &self.shared.index {
-            IndexKind::Kds(ix) => ix.memory_bytes(),
-            IndexKind::KdsRejection(ix) => ix.memory_bytes(),
-            IndexKind::Bbst(ix) => ix.memory_bytes(),
-            IndexKind::ShardedKds(ix) => ix.index_memory_bytes(),
-            IndexKind::ShardedKdsRejection(ix) => ix.index_memory_bytes(),
-            IndexKind::ShardedBbst(ix) => ix.index_memory_bytes(),
-            IndexKind::Dyn { index, .. } => index.any_memory_bytes(),
-        }
+        each_algorithm!(IndexKind, &self.shared.index, ix => ix.index_memory_bytes())
     }
 
     /// Total sampling weight `Σµ` the engine draws against (`= |J|` for
@@ -697,22 +816,15 @@ impl Engine {
     /// workload must see **shrink** across rebuilds — the serving stats
     /// export it for exactly that check.
     pub fn total_weight(&self) -> f64 {
-        match &self.shared.index {
-            IndexKind::Kds(ix) => ix.total_weight(),
-            IndexKind::KdsRejection(ix) => ix.total_weight(),
-            IndexKind::Bbst(ix) => ix.total_weight(),
-            IndexKind::ShardedKds(ix) => ix.total_weight(),
-            IndexKind::ShardedKdsRejection(ix) => ix.total_weight(),
-            IndexKind::ShardedBbst(ix) => ix.total_weight(),
-            IndexKind::Dyn { index, .. } => index.any_total_weight(),
-        }
+        each_algorithm!(IndexKind, &self.shared.index, ix => ix.total_weight())
     }
 
     /// Number of `S`-side cells the index draws from (0 when the index
-    /// is not cell-granular, e.g. a type-erased overlay's counters live
-    /// on its base engine).
+    /// is not cell-granular). An overlay engine reports its base
+    /// build's cells: base-source draws keep attributing rejections to
+    /// them.
     pub fn cell_count(&self) -> usize {
-        index_cell_count(&self.shared.index)
+        each_algorithm!(IndexKind, &self.shared.index, ix => ix.cell_count())
     }
 
     /// Snapshot of the per-cell rejection counters (slot → rejected
@@ -730,98 +842,25 @@ impl Engine {
     /// token of every clean cell (asserted in the cell-patching tests).
     /// `None` for overlay engines.
     pub fn s_cell_tokens(&self) -> Option<Vec<((i32, i32), usize)>> {
-        match &self.shared.index {
-            IndexKind::Kds(ix) => Some(ix.s_cells().store().cell_tokens()),
-            IndexKind::KdsRejection(ix) => Some(ix.s_structures().store().cell_tokens()),
-            IndexKind::Bbst(ix) => Some(ix.s_structures().store().cell_tokens()),
-            IndexKind::ShardedKds(sx) => Some(sx.shard(0).s_cells().store().cell_tokens()),
-            IndexKind::ShardedKdsRejection(sx) => {
-                Some(sx.shard(0).s_structures().store().cell_tokens())
-            }
-            IndexKind::ShardedBbst(sx) => Some(sx.shard(0).s_structures().store().cell_tokens()),
-            IndexKind::Dyn { .. } => None,
-        }
+        each_algorithm!(IndexKind, &self.shared.index, ix => ix.s_cell_tokens())
     }
 }
 
-/// Per-algorithm cursor, wrapped so a handle is one concrete type.
+/// Per-algorithm cursor over the algorithm's `Stack`, so a handle is
+/// one concrete type and every draw is monomorphised.
 enum CursorKind {
-    Kds(KdsCursor),
-    KdsRejection(KdsRejectionCursor),
-    Bbst(BbstCursor),
-    ShardedKds(Cursor<ShardedIndex<KdsIndex>>),
-    ShardedKdsRejection(Cursor<ShardedIndex<KdsRejectionIndex>>),
-    ShardedBbst(Cursor<ShardedIndex<BbstIndex>>),
-    /// Boxed cursor over a type-erased ([`IndexKind::Dyn`]) index.
-    Dyn(Box<dyn JoinSampler + Send>),
+    Kds(Cursor<Stack<KdsIndex>>),
+    KdsRejection(Cursor<Stack<KdsRejectionIndex>>),
+    Bbst(Cursor<Stack<BbstIndex>>),
 }
 
 impl CursorKind {
     fn as_sampler(&mut self) -> &mut dyn JoinSampler {
-        match self {
-            CursorKind::Kds(c) => c,
-            CursorKind::KdsRejection(c) => c,
-            CursorKind::Bbst(c) => c,
-            CursorKind::ShardedKds(c) => c,
-            CursorKind::ShardedKdsRejection(c) => c,
-            CursorKind::ShardedBbst(c) => c,
-            CursorKind::Dyn(c) => &mut **c,
-        }
+        each_algorithm!(CursorKind, self, c => c)
     }
 
     fn report(&self) -> PhaseReport {
-        match self {
-            CursorKind::Kds(c) => c.report(),
-            CursorKind::KdsRejection(c) => c.report(),
-            CursorKind::Bbst(c) => c.report(),
-            CursorKind::ShardedKds(c) => c.report(),
-            CursorKind::ShardedKdsRejection(c) => c.report(),
-            CursorKind::ShardedBbst(c) => c.report(),
-            CursorKind::Dyn(c) => c.report(),
-        }
-    }
-
-    /// Arms / disarms the cursor's per-cell sample buffers. The
-    /// type-erased overlay cursor has no buffer hooks (its draws mix
-    /// three pair sources per iteration), so `Dyn` is a no-op.
-    fn set_buffers(&mut self, on: bool) {
-        match self {
-            CursorKind::Kds(c) => c.set_buffers(on),
-            CursorKind::KdsRejection(c) => c.set_buffers(on),
-            CursorKind::Bbst(c) => c.set_buffers(on),
-            CursorKind::ShardedKds(c) => c.set_buffers(on),
-            CursorKind::ShardedKdsRejection(c) => c.set_buffers(on),
-            CursorKind::ShardedBbst(c) => c.set_buffers(on),
-            CursorKind::Dyn(_) => {}
-        }
-    }
-
-    /// Pins the buffered path's RNG to a seed-derived stream so the
-    /// buffered draw sequence is reproducible per handle seed.
-    fn seed_buffers(&mut self, seed: u64) {
-        match self {
-            CursorKind::Kds(c) => c.seed_buffers(seed),
-            CursorKind::KdsRejection(c) => c.seed_buffers(seed),
-            CursorKind::Bbst(c) => c.seed_buffers(seed),
-            CursorKind::ShardedKds(c) => c.seed_buffers(seed),
-            CursorKind::ShardedKdsRejection(c) => c.seed_buffers(seed),
-            CursorKind::ShardedBbst(c) => c.seed_buffers(seed),
-            CursorKind::Dyn(_) => {}
-        }
-    }
-
-    /// Takes the cursor's buffer counters accumulated since the last
-    /// drain (zeroes for `Dyn`).
-    fn drain_buffer_stats(&mut self) -> BufferStats {
-        match self {
-            CursorKind::Kds(c) => c.drain_buffer_stats(),
-            CursorKind::KdsRejection(c) => c.drain_buffer_stats(),
-            CursorKind::Bbst(c) => c.drain_buffer_stats(),
-            CursorKind::ShardedKds(c) => c.drain_buffer_stats(),
-            CursorKind::ShardedKdsRejection(c) => c.drain_buffer_stats(),
-            CursorKind::ShardedBbst(c) => c.drain_buffer_stats(),
-            CursorKind::Dyn(_) => BufferStats::default(),
-        }
+        each_algorithm!(CursorKind, self, c => c.report())
     }
 }
 
@@ -911,10 +950,10 @@ impl SamplerHandle {
             return;
         }
         self.buffers_armed = want;
-        self.cursor.set_buffers(want);
+        each_algorithm!(CursorKind, &mut self.cursor, c => c.set_buffers(want));
         if want {
             let seed = self.rng.next_u64();
-            self.cursor.seed_buffers(seed);
+            each_algorithm!(CursorKind, &mut self.cursor, c => c.seed_buffers(seed));
         }
     }
 
@@ -932,27 +971,19 @@ impl SamplerHandle {
     /// RNG consumption schedule differs, so the two paths produce
     /// different (equally uniform) streams from the same seed.
     ///
-    /// The type-erased overlay cursor keeps its object-safe draw; it
-    /// still gains batched RNG by wrapping this handle's generator in
-    /// a [`BufferedRng`] word stash for the duration of the batch.
+    /// Overlay engines take the same path: the overlay draws its base
+    /// source through the base's scratch (buffers included) and
+    /// rejects tombstoned ids after the draw, so buffered pops stay
+    /// uniform over the current join.
     pub fn sample_batch(&mut self, t: usize) -> Result<Vec<JoinPair>, SampleError> {
         srj_obs::trace::event("engine_query", "sample_batch");
         self.arm_buffers();
         let before = self.cursor.report().iterations;
         let start = Instant::now();
         let mut out = Vec::new();
-        let res = match &mut self.cursor {
-            CursorKind::Kds(c) => c.sample_batch(t, &mut self.rng, &mut out),
-            CursorKind::KdsRejection(c) => c.sample_batch(t, &mut self.rng, &mut out),
-            CursorKind::Bbst(c) => c.sample_batch(t, &mut self.rng, &mut out),
-            CursorKind::ShardedKds(c) => c.sample_batch(t, &mut self.rng, &mut out),
-            CursorKind::ShardedKdsRejection(c) => c.sample_batch(t, &mut self.rng, &mut out),
-            CursorKind::ShardedBbst(c) => c.sample_batch(t, &mut self.rng, &mut out),
-            CursorKind::Dyn(c) => {
-                let mut stash = BufferedRng::new(&mut self.rng);
-                c.sample(t, &mut stash).map(|v| out = v)
-            }
-        };
+        let res = each_algorithm!(CursorKind, &mut self.cursor, c => {
+            c.sample_batch(t, &mut self.rng, &mut out)
+        });
         let iterations = self.cursor.report().iterations - before;
         match &res {
             Ok(()) => self
@@ -961,7 +992,7 @@ impl SamplerHandle {
                 .record_query(out.len() as u64, iterations, start.elapsed()),
             Err(_) => self.shared.stats.record_error(iterations, start.elapsed()),
         }
-        let bufstats = self.cursor.drain_buffer_stats();
+        let bufstats = each_algorithm!(CursorKind, &mut self.cursor, c => c.drain_buffer_stats());
         if bufstats != BufferStats::default() {
             self.shared.stats.record_buffer_stats(bufstats);
         }
@@ -1009,14 +1040,7 @@ impl SamplerHandle {
 
     /// The algorithm behind this handle.
     pub fn algorithm(&self) -> Algorithm {
-        match &self.shared.index {
-            IndexKind::Kds(_) | IndexKind::ShardedKds(_) => Algorithm::Kds,
-            IndexKind::KdsRejection(_) | IndexKind::ShardedKdsRejection(_) => {
-                Algorithm::KdsRejection
-            }
-            IndexKind::Bbst(_) | IndexKind::ShardedBbst(_) => Algorithm::Bbst,
-            IndexKind::Dyn { algorithm, .. } => *algorithm,
-        }
+        self.shared.index.algorithm()
     }
 }
 

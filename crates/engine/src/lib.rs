@@ -11,8 +11,8 @@
 //!                 ┌────────────────────────────────────────────┐
 //!                 │                Engine (Arc)                │
 //!   R, S, l ───►  │  build ONCE:                               │
-//!                 │   IndexKind = KdsIndex | KdsRejectionIndex │
-//!                 │               | BbstIndex | ShardedIndex<·>│
+//!                 │   one stack per Algorithm: ShardedIndex<I> │
+//!                 │   (k ≥ 1), + OverlayIndex if deltas pend   │
 //!                 │  EngineStats (relaxed atomics)             │
 //!                 │  PlanReport  (Engine::auto only)           │
 //!                 └───────┬──────────────┬─────────────┬───────┘
@@ -49,14 +49,28 @@
 //! subset of `R` against the grid. The decision and the estimates that
 //! drove it are retained in [`PlanReport`].
 //!
+//! ## One index stack per algorithm
+//!
+//! The engine tells its indexes apart by [`Algorithm`] only. Each
+//! algorithm serves through the same generic stack — a
+//! [`ShardedIndex`] over `k ≥ 1` shards, wrapped in a
+//! [`srj_core::OverlayIndex`] while mutations are pending — so every
+//! handle draws through one monomorphised `Cursor` (buffered fast path
+//! included), sharded or not, mutated or not. A private per-algorithm
+//! trait holds the only family-specific code: how the `S`-side is
+//! built, shared between shards, patched and repaired.
+//!
 //! ## Sharding ([`Engine::build_sharded`], [`crate::shard`])
 //!
-//! `R` partitioned into `k` contiguous shards, each with its own full
-//! index (built concurrently on `SampleConfig::build_threads`
-//! threads), served through a top-level alias over per-shard `Σµ_i`.
-//! The shard is re-picked on **every** sampling iteration, so accepted
-//! samples stay exactly uniform over `J`; `k` serving threads over `k`
-//! shards contend on nothing.
+//! `R` partitioned into `k` contiguous shards, each with its own
+//! index over one `Arc`-shared `S`-side (built concurrently on
+//! `SampleConfig::build_threads` threads), served through a top-level
+//! alias over per-shard `Σµ_i`. The shard is re-picked on **every**
+//! sampling iteration, so accepted samples stay exactly uniform over
+//! `J`; `k` serving threads over `k` shards contend on nothing. One
+//! shard ([`ShardedIndex::single`]) is the unsharded build: it draws
+//! straight from its index, so its RNG stream and phase report are
+//! the index's own.
 //!
 //! ## Cache ([`EngineCache`])
 //!
@@ -346,6 +360,54 @@ mod tests {
             Engine::build_sharded(&r, &s, &cfg, Algorithm::Bbst, 3).shards(),
             3
         );
+    }
+
+    /// One shard is the unsharded stack itself: its batch stream is the
+    /// raw index's own (no top-level alias pick consumes RNG words),
+    /// and the build report keeps the paper's per-phase split.
+    #[test]
+    fn single_shard_is_the_unsharded_index() {
+        use rand::rngs::SmallRng;
+        use rand::SeedableRng;
+        use srj_core::{BbstIndex, Cursor, JoinPair, KdsIndex, KdsRejectionIndex, SamplerIndex};
+        use std::sync::Arc;
+        use std::time::Duration;
+
+        fn raw_stream<I: SamplerIndex>(index: I, seed: u64) -> Vec<JoinPair> {
+            let mut out = Vec::new();
+            let mut rng = SmallRng::seed_from_u64(seed);
+            Cursor::new(Arc::new(index))
+                .sample_batch(1_000, &mut rng, &mut out)
+                .unwrap();
+            out
+        }
+
+        let r = pseudo_points(120, 97, 40.0);
+        let s = pseudo_points(160, 98, 40.0);
+        let cfg = SampleConfig::new(5.0);
+        for algo in [Algorithm::Kds, Algorithm::KdsRejection, Algorithm::Bbst] {
+            let plain = Engine::build(&r, &s, &cfg, algo);
+            let one = Engine::build_sharded(&r, &s, &cfg, algo, 1);
+            // Disarmed buffers: the handle's RNG then feeds the draw
+            // loop directly, as in a bare cursor.
+            plain.set_buffers_enabled(false);
+            one.set_buffers_enabled(false);
+            let stream = plain.handle_seeded(7).sample_batch(1_000).unwrap();
+            assert_eq!(stream, one.handle_seeded(7).sample_batch(1_000).unwrap());
+            let raw = match algo {
+                Algorithm::Kds => raw_stream(KdsIndex::build(&r, &s, &cfg), 7),
+                Algorithm::KdsRejection => raw_stream(KdsRejectionIndex::build(&r, &s, &cfg), 7),
+                Algorithm::Bbst => raw_stream(BbstIndex::build(&r, &s, &cfg), 7),
+            };
+            assert_eq!(stream, raw, "{algo}: unsharded stream drifted");
+
+            let rep = plain.build_report();
+            assert!(rep.preprocessing > Duration::ZERO, "{algo}: {rep:?}");
+            assert!(rep.upper_bounding > Duration::ZERO, "{algo}: {rep:?}");
+            if algo != Algorithm::Kds {
+                assert!(rep.grid_mapping > Duration::ZERO, "{algo}: {rep:?}");
+            }
+        }
     }
 
     #[test]

@@ -27,7 +27,9 @@
 //! ordinary [`srj_core::Cursor`] drives it: any number of threads get
 //! their own cursor over one shared sharded index with zero
 //! synchronisation — `k` serving threads over `k` shards contend on
-//! nothing.
+//! nothing. With `k = 1` ([`ShardedIndex::single`]) it is the
+//! unsharded index at zero cost: the lone shard is drawn from
+//! directly, so its RNG stream and build report are its own.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -134,6 +136,20 @@ impl<I: SamplerIndex> ShardedIndex<I> {
         }
     }
 
+    /// A one-shard index over an already-built `index` — the unsharded
+    /// case of the same stack. It draws straight from `index` (no
+    /// top-level alias pick, so the RNG stream is the index's own) and
+    /// reports the index's own build phases and memory.
+    pub fn single(index: Arc<I>) -> Self {
+        ShardedIndex {
+            offsets: vec![0],
+            alias: AliasTable::new(&[index.total_weight()]),
+            rejection_limit: index.rejection_limit(),
+            build_report: index.index_build_report(),
+            shards: vec![index],
+        }
+    }
+
     /// Number of shards (≥ 1; a build over empty `R` keeps one empty
     /// shard so the index still answers `EmptyJoin`).
     pub fn shard_count(&self) -> usize {
@@ -160,16 +176,21 @@ impl<I: SamplerIndex> ShardedIndex<I> {
     /// returns `None` for any shard. Used by the per-cell repair path:
     /// each shard re-tightens the same cells against the one shared
     /// `S`-side, so `f` is cheap (`O(n_i log m)` per shard) and the
-    /// offsets never change.
+    /// offsets never change. A one-shard index takes on its rebuilt
+    /// shard's report, as [`ShardedIndex::single`] would.
     pub fn try_map_shards(&self, f: impl Fn(&I) -> Option<I>) -> Option<Self> {
         let shards: Option<Vec<Arc<I>>> = self.shards.iter().map(|s| f(s).map(Arc::new)).collect();
         let shards = shards?;
         let weights: Vec<f64> = shards.iter().map(|s| s.total_weight()).collect();
+        let build_report = match shards.as_slice() {
+            [only] => only.index_build_report(),
+            _ => self.build_report,
+        };
         Some(ShardedIndex {
             offsets: self.offsets.clone(),
             alias: AliasTable::new(&weights),
             rejection_limit: self.rejection_limit,
-            build_report: self.build_report,
+            build_report,
             shards,
         })
     }
@@ -185,13 +206,16 @@ impl<I: SamplerIndex> SamplerIndex for ShardedIndex<I> {
 
     /// One iteration: shard `∝ Σµ_i`, then one iteration of that
     /// shard's sampler, with the accepted `r` re-based to its global
-    /// index.
+    /// index. A lone shard (offset 0) is drawn from directly.
     fn try_draw<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         scratch: &mut Self::Scratch,
         stats: &mut PhaseReport,
     ) -> Result<Option<JoinPair>, SampleError> {
+        if let [only] = self.shards.as_slice() {
+            return only.try_draw(rng, scratch, stats);
+        }
         let alias = self.alias.as_ref().ok_or(SampleError::EmptyJoin)?;
         let si = alias.sample(rng);
         // The shard's own try_draw does the iteration/sample accounting.

@@ -299,48 +299,12 @@ impl ServedDataset {
         engine
     }
 
-    /// Longest recent swap across this dataset's engines.
-    fn last_swap_ns(&self) -> u64 {
-        self.engines
-            .lock()
-            .expect("engine map poisoned")
-            .iter()
-            .map(|(_, e)| e.last_swap().as_nanos().min(u128::from(u64::MAX)) as u64)
-            .max()
-            .unwrap_or(0)
-    }
-
-    fn engine_count(&self) -> usize {
-        self.engines.lock().expect("engine map poisoned").len()
-    }
-
-    /// Cell-maintenance counters aggregated over this dataset's
-    /// engines: `(patch_swaps, cells_patched, repairs, max last_swap_ns,
-    /// Σµ)`.
-    fn cell_stats(&self) -> (u64, u64, u64, u64, f64) {
-        let engines = self.engines.lock().expect("engine map poisoned");
-        let mut patch_swaps = 0u64;
-        let mut cells_patched = 0u64;
-        let mut repairs = 0u64;
-        let mut last_swap_ns = 0u64;
-        let mut mu_total = 0.0f64;
-        for (_, e) in engines.iter() {
-            // One consistent snapshot per engine: a request racing a
-            // compaction must never pair the post-swap Σµ with the
-            // pre-swap counters (or vice versa).
-            let s = e.maintenance_snapshot();
-            patch_swaps += s.patch_swaps;
-            cells_patched += s.cells_patched;
-            repairs += s.repairs;
-            last_swap_ns = last_swap_ns.max(s.last_swap_ns);
-            mu_total += s.mu_total;
-        }
-        (patch_swaps, cells_patched, repairs, last_swap_ns, mu_total)
-    }
-
-    /// Everything the `METRICS` exposition needs from this dataset's
-    /// engines in one pass under the map lock, each engine read as one
-    /// consistent [`srj_engine::MaintenanceSnapshot`].
+    /// Everything the `STATS` frame, the `METRICS` exposition and
+    /// `EPOCH` answers need from this dataset's engines, in one pass
+    /// under the map lock. Each engine is read as one consistent
+    /// [`srj_engine::MaintenanceSnapshot`]: a request racing a
+    /// compaction must never pair the post-swap Σµ with the pre-swap
+    /// counters (or vice versa).
     fn maintenance_stats(&self) -> MaintenanceStats {
         let engines = self.engines.lock().expect("engine map poisoned");
         let mut out = MaintenanceStats {
@@ -357,6 +321,7 @@ impl ServedDataset {
             out.replans += s.replans;
             out.mu_total += s.mu_total;
             out.epoch = out.epoch.max(s.epoch);
+            out.last_swap_ns = out.last_swap_ns.max(s.last_swap_ns);
             out.buffer_hits += s.buffer_hits;
             out.buffer_refills += s.buffer_refills;
             out.buffer_invalidations += s.buffer_invalidations;
@@ -386,6 +351,8 @@ struct MaintenanceStats {
     buffer_invalidations: u64,
     /// Serving epoch (max across engines), consistent with `mu_total`.
     epoch: u64,
+    /// Longest recent swap across the engines.
+    last_swap_ns: u64,
     /// How many engines were aggregated (0 ⇒ fall back to the store's
     /// epoch for the `srj_epoch` gauge).
     engines: usize,
@@ -1032,18 +999,15 @@ impl Shared {
 
     pub(crate) fn stats_frame(&self) -> ServerStatsFrame {
         let snap = self.request_stats.snapshot();
-        let mut patch_swaps = 0u64;
-        let mut cells_patched = 0u64;
-        let mut repairs = 0u64;
-        let mut last_swap_ns = 0u64;
-        let mut mu_total = 0.0f64;
+        let mut agg = MaintenanceStats::default();
         for d in self.registry.values() {
-            let (p, c, rep, swap, mu) = d.cell_stats();
-            patch_swaps += p;
-            cells_patched += c;
-            repairs += rep;
-            last_swap_ns = last_swap_ns.max(swap);
-            mu_total += mu;
+            let m = d.maintenance_stats();
+            agg.engines += m.engines;
+            agg.patch_swaps += m.patch_swaps;
+            agg.cells_patched += m.cells_patched;
+            agg.repairs += m.repairs;
+            agg.last_swap_ns = agg.last_swap_ns.max(m.last_swap_ns);
+            agg.mu_total += m.mu_total;
         }
         ServerStatsFrame {
             queries: snap.queries,
@@ -1053,20 +1017,16 @@ impl Shared {
             mean_ns: snap.mean_latency.as_nanos().min(u128::from(u64::MAX)) as u64,
             p50_ns: snap.p50_latency.as_nanos().min(u128::from(u64::MAX)) as u64,
             p99_ns: snap.p99_latency.as_nanos().min(u128::from(u64::MAX)) as u64,
-            engines_cached: self
-                .registry
-                .values()
-                .map(|d| d.engine_count() as u64)
-                .sum(),
+            engines_cached: agg.engines as u64,
             cache_hits: self.engine_hits.load(Ordering::Relaxed),
             cache_misses: self.engine_misses.load(Ordering::Relaxed),
             connections_accepted: self.accepted.load(Ordering::Relaxed),
             active_connections: self.active.load(Ordering::Relaxed),
-            patch_swaps,
-            cells_patched,
-            repairs,
-            last_swap_ns,
-            mu_total,
+            patch_swaps: agg.patch_swaps,
+            cells_patched: agg.cells_patched,
+            repairs: agg.repairs,
+            last_swap_ns: agg.last_swap_ns,
+            mu_total: agg.mu_total,
         }
     }
 
@@ -1800,7 +1760,7 @@ pub(crate) fn epoch_info(shared: &Arc<Shared>, dataset: u64) -> Result<EpochInfo
         live_r: store.live_r_len() as u64,
         live_s: store.live_s_len() as u64,
         pending_ops: store.pending_ops() as u64,
-        last_swap_ns: served.last_swap_ns(),
+        last_swap_ns: served.maintenance_stats().last_swap_ns,
     })
 }
 

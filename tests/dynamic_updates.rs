@@ -396,6 +396,13 @@ fn buffered_batches_stay_uniform_across_mutations_and_swap() {
         // reflect them immediately (a stale buffer would keep serving
         // the pre-mutation members).
         draw_batches_and_check(&engine, l, seed + 8, &format!("{algo} buffered overlay"));
+        // Overlay engines draw through the same monomorphised cursor
+        // as fresh builds, so their base-source draws hit buffers too.
+        let (overlay_hits, _, _) = engine.buffer_counters();
+        assert!(
+            overlay_hits > warm_hits,
+            "{algo}: pending-overlay draws never hit a buffer ({overlay_hits} vs warm {warm_hits})"
+        );
 
         // Fold the deltas in: compact + rebuild = major epoch swap.
         engine.store().compact();
