@@ -512,16 +512,8 @@ impl SamplerIndex for BbstIndex {
         out.append(&mut scratch.rejected_cells);
     }
 
-    fn set_buffers(scratch: &mut BbstScratch, enabled: bool) {
-        scratch.buffers.set_enabled(enabled);
-    }
-
-    fn warm_buffers(scratch: &mut BbstScratch, slots: &[u32]) {
-        scratch.buffers.warm(slots);
-    }
-
-    fn seed_buffers(scratch: &mut BbstScratch, seed: u64) {
-        scratch.buffers.seed_rng(seed);
+    fn arm_buffers(scratch: &mut BbstScratch, seed: u64) {
+        scratch.buffers.arm(seed);
     }
 
     fn drain_buffer_stats(scratch: &mut BbstScratch) -> BufferStats {

@@ -14,9 +14,9 @@
 //! buffers). Each buffer additionally records the identity of the
 //! member list it was drawn from and refuses to serve a mismatched
 //! list — a stale buffer would be a uniformity bug, not just a perf
-//! bug. The path is off by default (`Default` scratch ⇒ disabled), so
-//! the legacy draw entry points keep their byte-identical RNG streams;
-//! the serving engine's batch path switches it on.
+//! bug. The path is off by default (`Default` scratch ⇒ disarmed), so
+//! the `JoinSampler` draw entry points keep their byte-identical RNG
+//! streams; the serving engine arms it on every handle.
 //!
 //! Uniformity: conditioned on the rank draw selecting a fully-covered
 //! cell, every member is equally likely — whether served as
@@ -31,11 +31,10 @@ use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 use srj_geom::PointId;
 use srj_kdtree::CanonicalScratch;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Per-cursor scratch of the KDS family: the kd-tree descent buffer
-/// plus the buffered-draw fast path state (off by default, so
-/// `Default` cursors keep the legacy RNG stream byte-for-byte).
+/// plus the buffered-draw fast path state (disarmed by default, so
+/// unarmed cursors keep their RNG stream byte-for-byte).
 #[derive(Default)]
 pub struct KdsScratch {
     /// Kd-tree descent scratch.
@@ -91,18 +90,12 @@ struct SampleBuffer {
     pos: usize,
 }
 
-/// Process-wide seed sequence for buffer RNG streams: every buffer set
-/// gets its own deterministic-per-process stream, decorrelated from
-/// the request-seeded draw RNGs.
-static BUFFER_SEED_SEQ: AtomicU64 = AtomicU64::new(0x5EED_B0FF_u64);
-
 /// The per-cursor buffer set; lives inside an index's scratch state.
-/// `Default` is all-off: the legacy draw entry points see a disabled,
-/// empty set and never consult it.
+/// `Default` is disarmed: an unarmed cursor sees an empty set and
+/// never consults it.
 #[derive(Default)]
 pub struct DrawBuffers {
-    enabled: bool,
-    /// The buffer set's own RNG stream, created on first use.
+    /// The buffer set's own RNG stream; `Some` once armed.
     rng: Option<SmallRng>,
     bufs: Vec<SampleBuffer>,
     /// Promotion ladder: (slot, fully-covered draws served so far).
@@ -114,22 +107,14 @@ impl DrawBuffers {
     /// Whether the buffered path is active for this cursor.
     #[inline]
     pub fn enabled(&self) -> bool {
-        self.enabled
+        self.rng.is_some()
     }
 
-    /// Switches the buffered path on or off. Turning it off keeps the
-    /// buffers (re-enabling resumes them); the legacy entry points
-    /// never consult them anyway.
-    pub fn set_enabled(&mut self, on: bool) {
-        self.enabled = on;
-    }
-
-    /// Pins the buffer RNG to a caller-chosen stream. Seeded handles
-    /// call this at arm time so a request's buffered draw sequence is
-    /// a pure function of its seed — without it the stream comes from
-    /// the process-wide [`BUFFER_SEED_SEQ`] and two same-seed requests
-    /// would serve different (still uniform) pairs.
-    pub fn seed_rng(&mut self, seed: u64) {
+    /// Switches the buffered path on, with its own RNG stream seeded
+    /// from `seed`: seeded handles derive it from their request seed,
+    /// so a request's buffered draw sequence is a pure function of
+    /// that seed.
+    pub fn arm(&mut self, seed: u64) {
         self.rng = Some(SmallRng::seed_from_u64(seed));
     }
 
@@ -137,7 +122,7 @@ impl DrawBuffers {
     /// its first draw, skipping the promotion ladder. Callers wanting
     /// reproducible streams must warm from per-request-deterministic
     /// state only (the serving engine deliberately does not warm at
-    /// all — see `Engine::arm_buffers`).
+    /// all — see `Engine::handle_seeded`).
     pub fn warm(&mut self, slots: &[u32]) {
         for &slot in slots {
             if self.bufs.len() >= MAX_BUFFERS {
@@ -201,11 +186,10 @@ impl DrawBuffers {
             buf.pos = buf.ids.len(); // force refill
         }
         if buf.pos == buf.ids.len() {
-            let rng = self.rng.get_or_insert_with(|| {
-                SmallRng::seed_from_u64(
-                    BUFFER_SEED_SEQ.fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed),
-                )
-            });
+            let rng = self
+                .rng
+                .as_mut()
+                .expect("draws reach a buffer only once the set is armed");
             let buf = &mut self.bufs[i];
             buf.ids.clear();
             buf.ids.reserve(BUFFER_CAP);
@@ -254,7 +238,7 @@ mod tests {
     #[test]
     fn unpromoted_draws_use_the_given_rank() {
         let mut b = DrawBuffers::default();
-        b.set_enabled(true);
+        b.arm(7);
         let members = [10u32, 20, 30];
         assert_eq!(b.draw_covered(5, 1, &members, || 2), 30);
         assert_eq!(b.drain_stats(), BufferStats::default());
@@ -263,7 +247,7 @@ mod tests {
     #[test]
     fn promotion_after_enough_hits_then_buffered() {
         let mut b = DrawBuffers::default();
-        b.set_enabled(true);
+        b.arm(7);
         let members: Vec<u32> = (0..50).collect();
         for _ in 0..PROMOTE_HITS {
             b.draw_covered(3, 7, &members, || 0);
@@ -278,7 +262,7 @@ mod tests {
     #[test]
     fn warm_start_skips_the_ladder_and_draws_are_uniform() {
         let mut b = DrawBuffers::default();
-        b.set_enabled(true);
+        b.arm(7);
         b.warm(&[9]);
         let members: Vec<u32> = (0..10).collect();
         let draws = 40_000u64;
@@ -302,7 +286,7 @@ mod tests {
     #[test]
     fn token_change_invalidates_and_refills() {
         let mut b = DrawBuffers::default();
-        b.set_enabled(true);
+        b.arm(7);
         b.warm(&[1]);
         let old: Vec<u32> = (0..8).collect();
         let new: Vec<u32> = (100..108).collect();
@@ -317,7 +301,7 @@ mod tests {
     #[test]
     fn buffer_cap_bounds_the_set() {
         let mut b = DrawBuffers::default();
-        b.set_enabled(true);
+        b.arm(7);
         let slots: Vec<u32> = (0..2 * MAX_BUFFERS as u32).collect();
         b.warm(&slots);
         assert_eq!(b.promoted(), MAX_BUFFERS);

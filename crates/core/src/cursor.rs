@@ -87,20 +87,13 @@ pub trait SamplerIndex: Send + Sync {
     /// scratch; the default is a no-op for everything else.
     fn drain_cell_rejections(_scratch: &mut Self::Scratch, _out: &mut Vec<u32>) {}
 
-    /// Switches the buffered-draw fast path carried in `scratch` on or
-    /// off (see [`crate::DrawBuffers`]). Default no-op for indexes
-    /// without a buffered path; the legacy entry points never consult
-    /// buffers either way, so their RNG streams stay byte-identical.
-    fn set_buffers(_scratch: &mut Self::Scratch, _enabled: bool) {}
-
-    /// Pre-promotes the given cell slots to buffered status (warm
-    /// start, skipping the heat ladder). Default no-op.
-    fn warm_buffers(_scratch: &mut Self::Scratch, _slots: &[u32]) {}
-
-    /// Pins the buffered path's RNG to a caller-chosen stream, making
-    /// the buffered draw sequence a pure function of the caller's
-    /// seed. Default no-op.
-    fn seed_buffers(_scratch: &mut Self::Scratch, _seed: u64) {}
+    /// Switches on the buffered-draw fast path carried in `scratch`
+    /// (see [`crate::DrawBuffers`]) with its RNG seeded from `seed`, so
+    /// the buffered draw sequence is a pure function of the caller's
+    /// seed. Default no-op for indexes without a buffered path. A
+    /// scratch that is never armed never consults its buffers, so
+    /// unarmed cursors keep their byte-identical RNG streams.
+    fn arm_buffers(_scratch: &mut Self::Scratch, _seed: u64) {}
 
     /// Drains the buffer hit/refill/invalidation counters accumulated
     /// in `scratch`. Default: all-zero.
@@ -189,19 +182,10 @@ impl<I: SamplerIndex> Cursor<I> {
         &self.stats
     }
 
-    /// Switches this cursor's buffered-draw fast path on or off.
-    pub fn set_buffers(&mut self, enabled: bool) {
-        I::set_buffers(&mut self.scratch, enabled);
-    }
-
-    /// Pre-promotes `slots` to buffered status (warm start).
-    pub fn warm_buffers(&mut self, slots: &[u32]) {
-        I::warm_buffers(&mut self.scratch, slots);
-    }
-
-    /// Pins this cursor's buffer RNG to a seed-derived stream.
-    pub fn seed_buffers(&mut self, seed: u64) {
-        I::seed_buffers(&mut self.scratch, seed);
+    /// Arms this cursor's buffered-draw fast path, its buffer RNG
+    /// seeded from `seed`.
+    pub fn arm_buffers(&mut self, seed: u64) {
+        I::arm_buffers(&mut self.scratch, seed);
     }
 
     /// Drains the buffer hit/refill/invalidation counters.

@@ -192,16 +192,8 @@ impl SamplerIndex for KdsIndex {
         Ok(Some(JoinPair::new(ridx as u32, sid)))
     }
 
-    fn set_buffers(scratch: &mut KdsScratch, enabled: bool) {
-        scratch.buffers.set_enabled(enabled);
-    }
-
-    fn warm_buffers(scratch: &mut KdsScratch, slots: &[u32]) {
-        scratch.buffers.warm(slots);
-    }
-
-    fn seed_buffers(scratch: &mut KdsScratch, seed: u64) {
-        scratch.buffers.seed_rng(seed);
+    fn arm_buffers(scratch: &mut KdsScratch, seed: u64) {
+        scratch.buffers.arm(seed);
     }
 
     fn drain_buffer_stats(scratch: &mut KdsScratch) -> BufferStats {

@@ -519,18 +519,10 @@ impl<I: SamplerIndex> SamplerIndex for OverlayIndex<I> {
         I::drain_cell_rejections(scratch, out);
     }
 
-    fn set_buffers(scratch: &mut Self::Scratch, enabled: bool) {
+    fn arm_buffers(scratch: &mut Self::Scratch, seed: u64) {
         // The overlay's scratch IS the base's scratch: base-source
         // draws keep their buffered fast path through the overlay.
-        I::set_buffers(scratch, enabled);
-    }
-
-    fn warm_buffers(scratch: &mut Self::Scratch, slots: &[u32]) {
-        I::warm_buffers(scratch, slots);
-    }
-
-    fn seed_buffers(scratch: &mut Self::Scratch, seed: u64) {
-        I::seed_buffers(scratch, seed);
+        I::arm_buffers(scratch, seed);
     }
 
     fn drain_buffer_stats(scratch: &mut Self::Scratch) -> BufferStats {

@@ -500,7 +500,11 @@ impl DatasetStore {
         let new_r = Self::fold_r(&inner);
         let s_inserted = std::mem::take(&mut inner.delta.s_inserted);
         let s_deleted = std::mem::take(&mut inner.delta.s_deleted);
-        let new_s: Arc<Vec<Point>> = if s_inserted.is_empty() {
+        // Any `S` change — deletes included — gets a fresh allocation, so
+        // the allocation's identity names the `S` generation: an engine
+        // built over `prev_base_s` can tell that dead ids appeared since
+        // (a sibling's delete-only patch must not look like "S unchanged").
+        let new_s: Arc<Vec<Point>> = if s_inserted.is_empty() && s_deleted.is_empty() {
             Arc::clone(&inner.base_s)
         } else {
             let mut v = Vec::with_capacity(inner.base_s.len() + s_inserted.len());

@@ -8,9 +8,9 @@
 //! shared, patched and repaired.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -148,16 +148,8 @@ impl<I: SamplerIndex> SamplerIndex for Stack<I> {
         I::drain_cell_rejections(scratch, out);
     }
 
-    fn set_buffers(scratch: &mut Self::Scratch, enabled: bool) {
-        I::set_buffers(scratch, enabled);
-    }
-
-    fn warm_buffers(scratch: &mut Self::Scratch, slots: &[u32]) {
-        I::warm_buffers(scratch, slots);
-    }
-
-    fn seed_buffers(scratch: &mut Self::Scratch, seed: u64) {
-        I::seed_buffers(scratch, seed);
+    fn arm_buffers(scratch: &mut Self::Scratch, seed: u64) {
+        I::arm_buffers(scratch, seed);
     }
 
     fn drain_buffer_stats(scratch: &mut Self::Scratch) -> BufferStats {
@@ -467,11 +459,6 @@ struct EngineShared {
     /// targeted repair.
     cell_rejections: Option<CellRejectionStats>,
     plan: Option<PlanReport>,
-    /// Whether handles should serve batches through the buffered draw
-    /// fast path (pre-drawn per-cell sample buffers + monomorphised
-    /// RNG). Handles re-check the flag on every batch, so flipping it
-    /// takes effect without re-acquiring handles.
-    buffers: AtomicBool,
     /// Sequence number for auto-seeded handles.
     handle_seq: AtomicU64,
 }
@@ -501,7 +488,7 @@ struct EngineShared {
 ///
 /// let handles: Vec<_> = (0..4).map(|t| engine.handle_seeded(t)).collect();
 /// for mut h in handles {
-///     let pairs = h.sample(100).unwrap();
+///     let pairs = h.sample_batch(100).unwrap();
 ///     assert_eq!(pairs.len(), 100);
 /// }
 /// assert_eq!(engine.stats().samples, 400);
@@ -551,7 +538,7 @@ impl Engine {
             Algorithm::KdsRejection => build_stack::<KdsRejectionIndex>(r, s, config, shards),
             Algorithm::Bbst => build_stack::<BbstIndex>(r, s, config, shards),
         };
-        Engine::from_index(index, plan, true)
+        Engine::from_index(index, plan)
     }
 
     /// Lets the planner pick the algorithm from a cheap `O(n + m)`
@@ -574,7 +561,7 @@ impl Engine {
                 return Engine::build_sharded_inner(r, s, config, algorithm, 1, Some(report))
             }
         };
-        Engine::from_index(index, Some(report), true)
+        Engine::from_index(index, Some(report))
     }
 
     /// Shard-aware [`Engine::auto`]: the planner picks the algorithm,
@@ -615,7 +602,7 @@ impl Engine {
         let index = each_algorithm!(IndexKind, &self.shared.index, ix => {
             ix.with_overlay(delta, support, config)
         });
-        Engine::from_index(index, self.shared.plan, self.buffers_enabled())
+        Engine::from_index(index, self.shared.plan)
     }
 
     /// Rebuilds this engine over a new `R` while **reusing** its
@@ -633,7 +620,7 @@ impl Engine {
             ix.rebuild_r_only(r, config)
         })?;
         // The old plan described the pre-mutation workload.
-        Some(Engine::from_index(index, None, self.buffers_enabled()))
+        Some(Engine::from_index(index, None))
     }
 
     /// Rebuilds this engine over a new `R` while **patching** its
@@ -658,10 +645,7 @@ impl Engine {
         let (index, report) = each_algorithm!(IndexKind, &self.shared.index, ix => {
             ix.rebuild_with_s_patch(r, config, inserted_s, deleted_s)
         })?;
-        Some((
-            Engine::from_index(index, None, self.buffers_enabled()),
-            report,
-        ))
+        Some((Engine::from_index(index, None), report))
     }
 
     /// Re-tightens the named `S`-cells to exact (per-bucket-mass)
@@ -673,19 +657,12 @@ impl Engine {
     /// would change nothing (every named cell already exact).
     pub fn repair_cells(&self, slots: &[u32]) -> Option<Engine> {
         let index = each_algorithm!(IndexKind, &self.shared.index, ix => ix.repair_cells(slots))?;
-        Some(Engine::from_index(
-            index,
-            self.shared.plan,
-            self.buffers_enabled(),
-        ))
+        Some(Engine::from_index(index, self.shared.plan))
     }
 
     /// Wraps a built index with fresh stats / handle sequence /
-    /// per-cell rejection counters. `buffers` seeds the fast-path
-    /// flag: `true` for fresh builds, inherited for derived engines
-    /// (overlays, rebuilds, repairs) so an operator's toggle survives
-    /// epoch swaps.
-    fn from_index(index: IndexKind, plan: Option<PlanReport>, buffers: bool) -> Engine {
+    /// per-cell rejection counters.
+    fn from_index(index: IndexKind, plan: Option<PlanReport>) -> Engine {
         let cells = each_algorithm!(IndexKind, &index, ix => ix.cell_count());
         Engine {
             shared: Arc::new(EngineShared {
@@ -693,24 +670,9 @@ impl Engine {
                 stats: EngineStats::new(),
                 cell_rejections: (cells > 0).then(|| CellRejectionStats::new(cells)),
                 plan,
-                buffers: AtomicBool::new(buffers),
                 handle_seq: AtomicU64::new(0),
             }),
         }
-    }
-
-    /// Whether handles serve batches through the buffered draw fast
-    /// path (see [`SamplerHandle::sample_batch`]).
-    pub fn buffers_enabled(&self) -> bool {
-        self.shared.buffers.load(Ordering::Relaxed)
-    }
-
-    /// Flips the buffered draw fast path for every handle of this
-    /// engine. Handles re-check the flag at each batch, so the change
-    /// applies without re-acquiring them; disabling also drops each
-    /// handle's pinned buffers at its next batch.
-    pub fn set_buffers_enabled(&self, on: bool) {
-        self.shared.buffers.store(on, Ordering::Relaxed);
     }
 
     /// Whether this engine serves through a delta overlay (pending
@@ -737,14 +699,9 @@ impl Engine {
     }
 
     /// The planner's decision report, if this engine came from
-    /// [`Engine::auto`], with [`PlanReport::buffers`] stamped from the
-    /// engine's **live** fast-path flag (buffer state is a serving-time
-    /// property the build-time planner cannot know).
+    /// [`Engine::auto`].
     pub fn plan(&self) -> Option<PlanReport> {
-        self.shared.plan.map(|mut p| {
-            p.buffers = self.buffers_enabled();
-            p
-        })
+        self.shared.plan
     }
 
     /// A new serving handle with an automatically derived, per-handle
@@ -762,18 +719,32 @@ impl Engine {
 
     /// A new serving handle seeded with `seed`: two handles with the
     /// same seed over the same engine draw identical sample streams.
+    ///
+    /// The handle's cursor comes with its sample buffers armed, their
+    /// RNG pinned to a stream derived from the handle's own generator
+    /// (its first word). Deriving, rather than taking a slot off a
+    /// process-wide seed sequence, keeps the repeatability contract: a
+    /// seeded handle's whole draw stream — buffered pops included — is
+    /// a pure function of its seed, so two same-seed requests against
+    /// the same epoch return identical pairs. For the same reason
+    /// nothing here consults cross-request state (warm-starting from
+    /// the shared rejection counters would let one request's traffic
+    /// change the next one's stream); promotion is left to the
+    /// per-handle heat ladder, which a hot cell climbs in
+    /// [`srj_core::PROMOTE_HITS`] draws.
     pub fn handle_seeded(&self, seed: u64) -> SamplerHandle {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let buffer_seed = rng.next_u64();
         let cursor = match &self.shared.index {
-            IndexKind::Kds(ix) => CursorKind::Kds(Cursor::new(Arc::clone(ix))),
-            IndexKind::KdsRejection(ix) => CursorKind::KdsRejection(Cursor::new(Arc::clone(ix))),
-            IndexKind::Bbst(ix) => CursorKind::Bbst(Cursor::new(Arc::clone(ix))),
+            IndexKind::Kds(ix) => CursorKind::Kds(armed_cursor(ix, buffer_seed)),
+            IndexKind::KdsRejection(ix) => CursorKind::KdsRejection(armed_cursor(ix, buffer_seed)),
+            IndexKind::Bbst(ix) => CursorKind::Bbst(armed_cursor(ix, buffer_seed)),
         };
         SamplerHandle {
             cursor,
-            rng: SmallRng::seed_from_u64(seed),
+            rng,
             shared: Arc::clone(&self.shared),
             reject_buf: Vec::new(),
-            buffers_armed: false,
         }
     }
 
@@ -855,13 +826,17 @@ enum CursorKind {
 }
 
 impl CursorKind {
-    fn as_sampler(&mut self) -> &mut dyn JoinSampler {
-        each_algorithm!(CursorKind, self, c => c)
-    }
-
     fn report(&self) -> PhaseReport {
         each_algorithm!(CursorKind, self, c => c.report())
     }
+}
+
+/// A fresh cursor over `stack` with its sample buffers armed and their
+/// RNG pinned to `seed`.
+fn armed_cursor<I: SamplerIndex>(stack: &Arc<Stack<I>>, seed: u64) -> Cursor<Stack<I>> {
+    let mut cursor = Cursor::new(Arc::clone(stack));
+    cursor.arm_buffers(seed);
+    cursor
 }
 
 /// A lightweight per-thread serving handle: its own RNG, its own
@@ -876,9 +851,6 @@ pub struct SamplerHandle {
     shared: Arc<EngineShared>,
     /// Reused drain buffer for per-cell rejection records.
     reject_buf: Vec<u32>,
-    /// Whether this handle's cursor currently has its sample buffers
-    /// armed (mirrors the engine's flag as of the last batch).
-    buffers_armed: bool,
 }
 
 const _: () = {
@@ -892,84 +864,26 @@ impl SamplerHandle {
     /// per draw).
     fn flush_cell_rejections(&mut self) {
         if let Some(cells) = &self.shared.cell_rejections {
-            self.cursor
-                .as_sampler()
-                .take_cell_rejections(&mut self.reject_buf);
+            each_algorithm!(CursorKind, &mut self.cursor, c => {
+                c.take_cell_rejections(&mut self.reject_buf)
+            });
             cells.record_all(self.reject_buf.drain(..));
         }
     }
 
-    /// Draws one uniform join sample.
-    pub fn sample_one(&mut self) -> Result<JoinPair, SampleError> {
-        srj_obs::trace::event("engine_query", "sample_one");
-        let before = self.cursor.report().iterations;
-        let t = Instant::now();
-        let out = self.cursor.as_sampler().sample_one(&mut self.rng);
-        let iterations = self.cursor.report().iterations - before;
-        match &out {
-            Ok(_) => self.shared.stats.record_query(1, iterations, t.elapsed()),
-            Err(_) => self.shared.stats.record_error(iterations, t.elapsed()),
-        }
-        self.flush_cell_rejections();
-        out
-    }
-
-    /// Draws `t` uniform join samples with replacement.
-    pub fn sample(&mut self, t: usize) -> Result<Vec<JoinPair>, SampleError> {
-        srj_obs::trace::event("engine_query", "sample_batch");
-        let before = self.cursor.report().iterations;
-        let start = Instant::now();
-        let out = self.cursor.as_sampler().sample(t, &mut self.rng);
-        let iterations = self.cursor.report().iterations - before;
-        match &out {
-            Ok(v) => self
-                .shared
-                .stats
-                .record_query(v.len() as u64, iterations, start.elapsed()),
-            Err(_) => self.shared.stats.record_error(iterations, start.elapsed()),
-        }
-        self.flush_cell_rejections();
-        out
-    }
-
-    /// Syncs the cursor's buffer state with the engine's flag; on
-    /// arming, pins the buffer RNG to a stream derived from this
-    /// handle's own generator. Deriving (rather than taking a slot off
-    /// the process-wide seed sequence) keeps the repeatability
-    /// contract: a seeded handle's whole draw stream — buffered pops
-    /// included — is a pure function of its seed, so two same-seed
-    /// requests against the same epoch return identical pairs. For the
-    /// same reason nothing here may consult cross-request state (e.g.
-    /// warm-starting from the shared rejection counters would let one
-    /// request's traffic change the next one's stream); promotion is
-    /// left to the per-handle heat ladder, which a hot cell climbs in
-    /// [`srj_core::PROMOTE_HITS`] draws.
-    fn arm_buffers(&mut self) {
-        let want = self.shared.buffers.load(Ordering::Relaxed);
-        if want == self.buffers_armed {
-            return;
-        }
-        self.buffers_armed = want;
-        each_algorithm!(CursorKind, &mut self.cursor, c => c.set_buffers(want));
-        if want {
-            let seed = self.rng.next_u64();
-            each_algorithm!(CursorKind, &mut self.cursor, c => c.seed_buffers(seed));
-        }
-    }
-
-    /// Draws `t` uniform join samples with replacement through the
-    /// **buffered fast path**: the draw loop is monomorphised over the
-    /// handle's concrete [`SmallRng`] (no per-draw virtual dispatch),
-    /// hot fully-covered `S`-cells serve from pre-drawn sample buffers
-    /// when [`Engine::set_buffers_enabled`] is on, and the whole batch
-    /// is timed and recorded as **one** engine query (a per-item
-    /// `Instant` pair would cost more than a buffered draw).
+    /// Draws `t` uniform join samples with replacement — the handle's
+    /// one draw entry point, and progressive: call it repeatedly and
+    /// stop once enough samples have arrived (the paper's `t = ∞`
+    /// reading of Definition 2).
     ///
-    /// The distribution is identical to [`SamplerHandle::sample`] —
-    /// buffers only short-circuit draws for cells whose selection
-    /// probability already equals their exact member weight — but the
-    /// RNG consumption schedule differs, so the two paths produce
-    /// different (equally uniform) streams from the same seed.
+    /// The draw loop is monomorphised over the handle's concrete
+    /// [`SmallRng`] (no per-draw virtual dispatch), hot fully-covered
+    /// `S`-cells serve from pre-drawn sample buffers, and the whole
+    /// batch is timed and recorded as **one** engine query (a per-item
+    /// `Instant` pair would cost more than a buffered draw). Buffers
+    /// only short-circuit draws for cells whose selection probability
+    /// already equals their exact member weight, so every sample stays
+    /// uniform over the join.
     ///
     /// Overlay engines take the same path: the overlay draws its base
     /// source through the base's scratch (buffers included) and
@@ -977,7 +891,6 @@ impl SamplerHandle {
     /// uniform over the current join.
     pub fn sample_batch(&mut self, t: usize) -> Result<Vec<JoinPair>, SampleError> {
         srj_obs::trace::event("engine_query", "sample_batch");
-        self.arm_buffers();
         let before = self.cursor.report().iterations;
         let start = Instant::now();
         let mut out = Vec::new();
@@ -1000,28 +913,6 @@ impl SamplerHandle {
         res.map(|()| out)
     }
 
-    /// Progressive sampling: an iterator of uniform join samples that
-    /// can be stopped at any point (the paper's `t = ∞` reading of
-    /// Definition 2). Ends on the first error, which
-    /// [`HandleStream::error`] exposes.
-    ///
-    /// Statistics: to keep shared atomics off the per-item path, a
-    /// stream does **not** record one engine query per item — it
-    /// accumulates the time spent **inside the draws** (consumer time
-    /// between `next()` calls is excluded, so latency quantiles stay a
-    /// serving-side signal) and flushes one aggregate query per
-    /// [`STREAM_STATS_BATCH`] samples, plus the remainder when the
-    /// stream is dropped.
-    pub fn stream(&mut self) -> HandleStream<'_> {
-        HandleStream {
-            handle: self,
-            error: None,
-            batch_draw_time: Duration::ZERO,
-            batch_samples: 0,
-            batch_iterations: 0,
-        }
-    }
-
     /// This handle's phase report: the shared index's build phases plus
     /// this handle's own sampling statistics.
     pub fn report(&self) -> PhaseReport {
@@ -1041,85 +932,5 @@ impl SamplerHandle {
     /// The algorithm behind this handle.
     pub fn algorithm(&self) -> Algorithm {
         self.shared.index.algorithm()
-    }
-}
-
-/// How many stream items are aggregated into one recorded engine
-/// query (see [`SamplerHandle::stream`]).
-pub const STREAM_STATS_BATCH: u64 = 256;
-
-/// Iterator over a handle's progressive samples; see
-/// [`SamplerHandle::stream`].
-pub struct HandleStream<'a> {
-    handle: &'a mut SamplerHandle,
-    error: Option<SampleError>,
-    /// Time spent inside draws since the last flush (consumer time
-    /// between `next()` calls is deliberately excluded).
-    batch_draw_time: Duration,
-    batch_samples: u64,
-    batch_iterations: u64,
-}
-
-impl HandleStream<'_> {
-    /// The error that terminated the stream, if any.
-    pub fn error(&self) -> Option<SampleError> {
-        self.error
-    }
-
-    fn flush_stats(&mut self) {
-        srj_obs::trace::event("draw_loop", "stats_flush");
-        if self.batch_samples > 0 {
-            self.handle.shared.stats.record_query(
-                self.batch_samples,
-                self.batch_iterations,
-                self.batch_draw_time,
-            );
-            self.batch_samples = 0;
-            self.batch_iterations = 0;
-        }
-        self.batch_draw_time = Duration::ZERO;
-        self.handle.flush_cell_rejections();
-    }
-}
-
-impl Iterator for HandleStream<'_> {
-    type Item = JoinPair;
-
-    fn next(&mut self) -> Option<JoinPair> {
-        if self.error.is_some() {
-            return None;
-        }
-        let before = self.handle.cursor.report().iterations;
-        let t = Instant::now();
-        let drawn = self
-            .handle
-            .cursor
-            .as_sampler()
-            .sample_one(&mut self.handle.rng);
-        let draw_time = t.elapsed();
-        let iterations = self.handle.cursor.report().iterations - before;
-        match drawn {
-            Ok(p) => {
-                self.batch_draw_time += draw_time;
-                self.batch_samples += 1;
-                self.batch_iterations += iterations;
-                if self.batch_samples >= STREAM_STATS_BATCH {
-                    self.flush_stats();
-                }
-                Some(p)
-            }
-            Err(e) => {
-                self.flush_stats();
-                self.handle.shared.stats.record_error(iterations, draw_time);
-                self.error = Some(e);
-                None
-            }
-        }
-    }
-}
-
-impl Drop for HandleStream<'_> {
-    fn drop(&mut self) {
-        self.flush_stats();
     }
 }

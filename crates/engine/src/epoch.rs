@@ -58,7 +58,7 @@
 //! accessors return `None`, not NaN); pinned algorithms may still be
 //! repaired (repair never changes the algorithm) but never re-planned.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
@@ -302,9 +302,6 @@ pub struct EpochEngine {
     repairs: AtomicU64,
     replans: AtomicU64,
     last_swap_ns: AtomicU64,
-    /// Whether freshly committed engines serve with the buffered draw
-    /// fast path (applied to every engine this cell installs).
-    buffers: AtomicBool,
     /// Buffer counters of superseded engines, accumulated at swap time
     /// so the exposition totals stay monotone across epochs (the
     /// planner-window accumulators in [`EpochState`] reset on commit;
@@ -386,7 +383,6 @@ impl EpochEngine {
             repairs: AtomicU64::new(0),
             replans: AtomicU64::new(0),
             last_swap_ns: AtomicU64::new(0),
-            buffers: AtomicBool::new(true),
             acc_buffer_hits: AtomicU64::new(0),
             acc_buffer_refills: AtomicU64::new(0),
             acc_buffer_invalidations: AtomicU64::new(0),
@@ -500,22 +496,6 @@ impl EpochEngine {
             .stats()
     }
 
-    /// Whether engines committed by this cell serve batches through
-    /// the buffered draw fast path.
-    pub fn buffers_enabled(&self) -> bool {
-        self.buffers.load(Ordering::Relaxed)
-    }
-
-    /// Flips the buffered draw fast path for the serving engine and for
-    /// every engine a later swap installs (the toggle survives epoch
-    /// swaps).
-    pub fn set_buffers_enabled(&self, on: bool) {
-        self.buffers.store(on, Ordering::Relaxed);
-        let st = self.state.read().expect("epoch state poisoned");
-        st.current.set_buffers_enabled(on);
-        st.base.set_buffers_enabled(on);
-    }
-
     /// Monotone `(hits, refills, invalidations)` of the buffered draw
     /// fast path across the cell's whole history: superseded engines'
     /// counters (absorbed at swap time) plus the serving engine's live
@@ -532,18 +512,25 @@ impl EpochEngine {
 
     /// Folds a superseded engine's buffer counters into the monotone
     /// accumulators and charges the swap itself as one invalidation
-    /// when the retiring engine had buffers armed (its handles' pinned
-    /// buffers die with their epoch). Callers journal the matching
-    /// [`EventKind::BufferInvalidate`] outside the state lock; this
-    /// returns whether one should be emitted.
-    fn absorb_buffer_counters(&self, retired: &Engine) -> bool {
+    /// (its handles' pinned buffers die with their epoch). Callers
+    /// journal the matching [`EventKind::BufferInvalidate`] outside the
+    /// state lock.
+    fn absorb_buffer_counters(&self, retired: &Engine) {
         let (h, r, i) = retired.buffer_counters();
         self.acc_buffer_hits.fetch_add(h, Ordering::Relaxed);
         self.acc_buffer_refills.fetch_add(r, Ordering::Relaxed);
-        let invalidated = retired.buffers_enabled();
         self.acc_buffer_invalidations
-            .fetch_add(i + u64::from(invalidated), Ordering::Relaxed);
-        invalidated
+            .fetch_add(i + 1, Ordering::Relaxed);
+    }
+
+    /// Journals the retirement of the outgoing engine's pinned buffers
+    /// at a swap (the invalidation [`Self::absorb_buffer_counters`]
+    /// counts).
+    fn journal_buffer_invalidate(&self, epoch: u64) {
+        event(EventKind::BufferInvalidate)
+            .dataset(self.store.obs_label())
+            .epoch(epoch)
+            .emit();
     }
 
     /// Epoch-wide observed rejection overhead `iterations / samples`,
@@ -784,7 +771,6 @@ impl EpochEngine {
         planned: Option<f64>,
     ) -> std::sync::RwLockWriteGuard<'_, EpochState> {
         let cells = engine.cell_count();
-        engine.set_buffers_enabled(self.buffers_enabled());
         let mut st = self.state.write().expect("epoch state poisoned");
         if !engine.shares_state(&st.current) {
             self.absorb_buffer_counters(&st.current);
@@ -842,12 +828,7 @@ impl EpochEngine {
         .duration_ns(t0.elapsed().as_nanos() as u64)
         .mu(mu_before, mu_after)
         .emit();
-        if self.buffers_enabled() {
-            event(EventKind::BufferInvalidate)
-                .dataset(self.store.obs_label())
-                .epoch(snap.epoch)
-                .emit();
-        }
+        self.journal_buffer_invalidate(snap.epoch);
     }
 
     /// The incremental half of [`EpochEngine::major_swap`]: `true` when
@@ -932,12 +913,7 @@ impl EpochEngine {
             .duration_ns(t0.elapsed().as_nanos() as u64)
             .mu(mu_before, mu_after)
             .emit();
-        if self.buffers_enabled() {
-            event(EventKind::BufferInvalidate)
-                .dataset(self.store.obs_label())
-                .epoch(snap.epoch)
-                .emit();
-        }
+        self.journal_buffer_invalidate(snap.epoch);
         true
     }
 
@@ -958,7 +934,6 @@ impl EpochEngine {
                 let mu_before = current.total_weight();
                 let mu_after = engine.total_weight();
                 let cells = engine.cell_count();
-                engine.set_buffers_enabled(self.buffers_enabled());
                 let mut st = self.state.write().expect("epoch state poisoned");
                 if !engine.shares_state(&st.current) {
                     self.absorb_buffer_counters(&st.current);
@@ -982,12 +957,7 @@ impl EpochEngine {
                     .duration_ns(t0.elapsed().as_nanos() as u64)
                     .mu(mu_before, mu_after)
                     .emit();
-                if self.buffers_enabled() {
-                    event(EventKind::BufferInvalidate)
-                        .dataset(self.store.obs_label())
-                        .epoch(built_epoch)
-                        .emit();
-                }
+                self.journal_buffer_invalidate(built_epoch);
             }
             None => {
                 // Nothing to tighten (wrong family, or all named cells
@@ -1043,12 +1013,10 @@ impl EpochEngine {
         }
         let mu_before = st.current.total_weight();
         let mu_after = engine.total_weight();
-        engine.set_buffers_enabled(self.buffers_enabled());
-        let retired_buffers = if engine.shares_state(&st.current) {
-            false
-        } else {
-            self.absorb_buffer_counters(&st.current)
-        };
+        let retired_buffers = !engine.shares_state(&st.current);
+        if retired_buffers {
+            self.absorb_buffer_counters(&st.current);
+        }
         st.current = engine;
         st.support = Some(support);
         st.built_version = snap.version;
@@ -1061,10 +1029,7 @@ impl EpochEngine {
             .mu(mu_before, mu_after)
             .emit();
         if retired_buffers {
-            event(EventKind::BufferInvalidate)
-                .dataset(self.store.obs_label())
-                .epoch(snap.epoch)
-                .emit();
+            self.journal_buffer_invalidate(snap.epoch);
         }
     }
 }
@@ -1106,7 +1071,7 @@ mod tests {
         let snap = engine.store().snapshot();
         let mut saw_new = false;
         for _ in 0..3_000 {
-            let p = h.sample_one().unwrap();
+            let p = h.sample_batch(1).unwrap()[0];
             let rp = snap.r_point(p.r).unwrap();
             let sp = snap.s_point(p.s).unwrap();
             assert!(Rect::window(rp, l).contains(sp));
@@ -1124,7 +1089,7 @@ mod tests {
         assert!(engine.delete_s(3));
         let mut h = engine.handle_seeded(3);
         for _ in 0..2_000 {
-            match h.sample_one() {
+            match h.sample_batch(1).map(|v| v[0]) {
                 Ok(p) => {
                     assert_ne!(p.r, 0, "tombstoned R point sampled");
                     assert_ne!(p.s, 3, "tombstoned S point sampled");
@@ -1150,7 +1115,7 @@ mod tests {
         assert_eq!(engine.store().pending_ops(), 0);
         assert_eq!(engine.store().live_r_len(), 60);
         // and it still serves
-        assert!(engine.handle_seeded(1).sample(100).is_ok());
+        assert!(engine.handle_seeded(1).sample_batch(100).is_ok());
     }
 
     /// The one-lock snapshot pairs `Σµ` with the counters of the same
@@ -1215,7 +1180,7 @@ mod tests {
         let after = engine.store().snapshot();
         // S untouched ⇒ the very same allocation crossed the epoch.
         assert!(Arc::ptr_eq(&before.base_s, &after.base_s));
-        assert!(engine.handle_seeded(2).sample(50).is_ok());
+        assert!(engine.handle_seeded(2).sample_batch(50).is_ok());
     }
 
     #[test]
@@ -1315,7 +1280,7 @@ mod tests {
             .with_algorithm(Algorithm::KdsRejection)
             .with_replan_min_samples(1);
         let engine = EpochEngine::new(r, s, &SampleConfig::new(4.0), cfg);
-        engine.handle_seeded(1).sample(200).unwrap();
+        engine.handle_seeded(1).sample_batch(200).unwrap();
         engine.refresh();
         assert_eq!(engine.algorithm(), Algorithm::KdsRejection);
         assert_eq!(engine.replans(), 0);

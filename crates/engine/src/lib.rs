@@ -24,10 +24,11 @@
 //!                 │ own SmallRng │ │ own SmallRng │ │ own SmallRng │
 //!                 │ own cursor / │ │ own cursor / │ │ own cursor / │
 //!                 │  PhaseReport │ │  PhaseReport │ │  PhaseReport │
+//!                 │ armed buffers│ │ armed buffers│ │ armed buffers│
 //!                 └───────┬──────┘ └─────┬────────┘ └──┬───────────┘
 //!                 thread 1 │       thread 2 │    thread N │
 //!                          ▼                ▼             ▼
-//!                  sample(t) / sample_one() / stream()  — concurrent,
+//!                  sample_batch(t) — concurrent, progressive,
 //!                  lock-free against the shared immutable index
 //! ```
 //!
@@ -72,13 +73,16 @@
 //! straight from its index, so its RNG stream and phase report are
 //! the index's own.
 //!
-//! ## Cache ([`EngineCache`])
+//! ## One draw entry point ([`SamplerHandle::sample_batch`])
 //!
-//! An LRU map `(dataset id, l bits, shards) → Engine`, so workloads
-//! that revisit a window size reuse the built index instead of paying
-//! the build again. Hits are O(1) `Arc` clones; evicted engines keep
-//! serving for whoever still holds them; the mutex is never held while
-//! building.
+//! A handle draws only in batches, with its cursor's per-cell sample
+//! buffers armed from the handle's creation: hot fully-covered cells
+//! serve from pre-drawn ids, and each batch is one recorded engine
+//! query. Progressive sampling is a loop of batches the caller stops
+//! when it has enough.
+//!
+//! This crate keeps no engine map of its own: the serving layer
+//! (`srj-server`) holds the one map from request shape to engine.
 //!
 //! ## Dynamic datasets ([`EpochEngine`], [`DatasetStore`])
 //!
@@ -100,7 +104,6 @@
 //! latency from a log₂-bucketed histogram — all relaxed atomics, no
 //! locks on the serving path.
 
-mod cache;
 mod dataset;
 mod engine;
 mod epoch;
@@ -108,9 +111,8 @@ pub mod planner;
 pub mod shard;
 mod stats;
 
-pub use cache::EngineCache;
 pub use dataset::{BatchApplied, DatasetSnapshot, DatasetStore, SPatchDelta};
-pub use engine::{Algorithm, Engine, HandleStream, SamplerHandle};
+pub use engine::{Algorithm, Engine, SamplerHandle};
 pub use epoch::{EpochConfig, EpochEngine, MaintenanceSnapshot};
 pub use planner::PlanReport;
 pub use shard::ShardedIndex;
@@ -144,7 +146,7 @@ mod tests {
             let engine = Engine::build(&r, &s, &cfg, algo);
             assert_eq!(engine.algorithm(), algo);
             let mut h = engine.handle_seeded(3);
-            let pairs = h.sample(300).unwrap();
+            let pairs = h.sample_batch(300).unwrap();
             assert_eq!(pairs.len(), 300);
             for p in pairs {
                 let w = Rect::window(r[p.r as usize], 6.0);
@@ -158,9 +160,9 @@ mod tests {
         let r = pseudo_points(60, 11, 40.0);
         let s = pseudo_points(90, 12, 40.0);
         let engine = Engine::build(&r, &s, &SampleConfig::new(5.0), Algorithm::Bbst);
-        let a = engine.handle_seeded(42).sample(200).unwrap();
-        let b = engine.handle_seeded(42).sample(200).unwrap();
-        let c = engine.handle_seeded(43).sample(200).unwrap();
+        let a = engine.handle_seeded(42).sample_batch(200).unwrap();
+        let b = engine.handle_seeded(42).sample_batch(200).unwrap();
+        let c = engine.handle_seeded(43).sample_batch(200).unwrap();
         assert_eq!(a, b);
         assert_ne!(a, c);
     }
@@ -173,11 +175,11 @@ mod tests {
         let e1 = Engine::build(&r, &s, &cfg, Algorithm::Kds);
         let e2 = Engine::build(&r, &s, &cfg, Algorithm::Kds);
         // k-th auto handle draws the same stream on equal engines...
-        let s1 = e1.handle().sample(50).unwrap();
-        let s2 = e2.handle().sample(50).unwrap();
+        let s1 = e1.handle().sample_batch(50).unwrap();
+        let s2 = e2.handle().sample_batch(50).unwrap();
         assert_eq!(s1, s2);
         // ...but successive handles of one engine differ.
-        let s3 = e1.handle().sample(50).unwrap();
+        let s3 = e1.handle().sample_batch(50).unwrap();
         assert_ne!(s1, s3);
     }
 
@@ -188,9 +190,9 @@ mod tests {
         let engine = Engine::build(&r, &s, &SampleConfig::new(5.0), Algorithm::KdsRejection);
         let mut h1 = engine.handle_seeded(1);
         let mut h2 = engine.handle_seeded(2);
-        h1.sample(100).unwrap();
-        h2.sample(50).unwrap();
-        h2.sample_one().unwrap();
+        h1.sample_batch(100).unwrap();
+        h2.sample_batch(50).unwrap();
+        h2.sample_batch(1).unwrap();
         let snap = engine.stats();
         assert_eq!(snap.queries, 3);
         assert_eq!(snap.samples, 151);
@@ -208,22 +210,28 @@ mod tests {
         let s = vec![Point::new(900.0, 900.0)];
         let engine = Engine::build(&r, &s, &SampleConfig::new(1.0), Algorithm::Kds);
         let mut h = engine.handle_seeded(0);
-        assert_eq!(h.sample_one(), Err(SampleError::EmptyJoin));
+        assert_eq!(h.sample_batch(1), Err(SampleError::EmptyJoin));
         assert_eq!(engine.stats().errors, 1);
     }
 
+    /// Progressive sampling is a loop of batches: the caller stops
+    /// whenever it has enough, and an error ends the loop.
     #[test]
     fn stream_is_progressive_and_stops_on_error() {
         let r = pseudo_points(40, 41, 30.0);
         let s = pseudo_points(60, 42, 30.0);
         let engine = Engine::build(&r, &s, &SampleConfig::new(4.0), Algorithm::Bbst);
         let mut h = engine.handle_seeded(5);
-        let collected: Vec<_> = h.stream().take(75).collect();
+        let mut collected = Vec::new();
+        while collected.len() < 75 {
+            collected.extend(h.sample_batch((75 - collected.len()).min(10)).unwrap());
+        }
         assert_eq!(collected.len(), 75);
         for p in collected {
             let w = Rect::window(r[p.r as usize], 4.0);
             assert!(w.contains(s[p.s as usize]));
         }
+        assert_eq!(engine.stats().queries, 8, "one query per batch");
 
         let empty = Engine::build(
             &[Point::new(0.0, 0.0)],
@@ -232,9 +240,8 @@ mod tests {
             Algorithm::Bbst,
         );
         let mut h = empty.handle_seeded(0);
-        let mut stream = h.stream();
-        assert!(stream.next().is_none());
-        assert_eq!(stream.error(), Some(SampleError::EmptyJoin));
+        assert_eq!(h.sample_batch(10), Err(SampleError::EmptyJoin));
+        assert_eq!(empty.stats().errors, 1);
     }
 
     #[test]
@@ -269,7 +276,7 @@ mod tests {
         );
         assert!(plan.est_overhead.unwrap() <= planner::MAX_REJECTION_OVERHEAD);
         // and the engine actually serves
-        assert!(engine.handle_seeded(1).sample(100).is_ok());
+        assert!(engine.handle_seeded(1).sample_batch(100).is_ok());
     }
 
     #[test]
@@ -299,7 +306,7 @@ mod tests {
             "loose bounds should pick BBST: {plan:?}"
         );
         assert!(plan.est_overhead.unwrap() > planner::MAX_REJECTION_OVERHEAD);
-        assert!(engine.handle_seeded(1).sample(50).is_ok());
+        assert!(engine.handle_seeded(1).sample_batch(50).is_ok());
     }
 
     #[test]
@@ -312,7 +319,7 @@ mod tests {
             assert_eq!(engine.algorithm(), algo);
             assert_eq!(engine.shards(), 4);
             let mut h = engine.handle_seeded(9);
-            let pairs = h.sample(400).unwrap();
+            let pairs = h.sample_batch(400).unwrap();
             assert_eq!(pairs.len(), 400);
             for p in pairs {
                 let w = Rect::window(r[p.r as usize], 6.0);
@@ -368,17 +375,19 @@ mod tests {
     #[test]
     fn single_shard_is_the_unsharded_index() {
         use rand::rngs::SmallRng;
-        use rand::SeedableRng;
+        use rand::{RngCore, SeedableRng};
         use srj_core::{BbstIndex, Cursor, JoinPair, KdsIndex, KdsRejectionIndex, SamplerIndex};
         use std::sync::Arc;
         use std::time::Duration;
 
+        /// A bare cursor armed the way a handle arms its own: buffer
+        /// RNG seeded from the handle RNG's first word.
         fn raw_stream<I: SamplerIndex>(index: I, seed: u64) -> Vec<JoinPair> {
             let mut out = Vec::new();
             let mut rng = SmallRng::seed_from_u64(seed);
-            Cursor::new(Arc::new(index))
-                .sample_batch(1_000, &mut rng, &mut out)
-                .unwrap();
+            let mut cursor = Cursor::new(Arc::new(index));
+            cursor.arm_buffers(rng.next_u64());
+            cursor.sample_batch(1_000, &mut rng, &mut out).unwrap();
             out
         }
 
@@ -388,10 +397,6 @@ mod tests {
         for algo in [Algorithm::Kds, Algorithm::KdsRejection, Algorithm::Bbst] {
             let plain = Engine::build(&r, &s, &cfg, algo);
             let one = Engine::build_sharded(&r, &s, &cfg, algo, 1);
-            // Disarmed buffers: the handle's RNG then feeds the draw
-            // loop directly, as in a bare cursor.
-            plain.set_buffers_enabled(false);
-            one.set_buffers_enabled(false);
             let stream = plain.handle_seeded(7).sample_batch(1_000).unwrap();
             assert_eq!(stream, one.handle_seeded(7).sample_batch(1_000).unwrap());
             let raw = match algo {
@@ -419,7 +424,7 @@ mod tests {
         assert_eq!(plan.num_shards, 4);
         assert_eq!(engine.shards(), 4);
         assert_eq!(plan.algorithm, engine.algorithm());
-        assert!(engine.handle_seeded(1).sample(50).is_ok());
+        assert!(engine.handle_seeded(1).sample_batch(50).is_ok());
     }
 
     #[test]
@@ -440,7 +445,7 @@ mod tests {
         }
         let engine = Engine::build(&r, &s, &SampleConfig::new(l), Algorithm::KdsRejection);
         let mut h = engine.handle_seeded(3);
-        h.sample(300).unwrap();
+        h.sample_batch(300).unwrap();
 
         // per-handle rate: iterations / samples, straight off the report
         let rep = h.report();
@@ -457,7 +462,7 @@ mod tests {
 
         // a second handle's iterations add on top
         let mut h2 = engine.handle_seeded(4);
-        h2.sample(100).unwrap();
+        h2.sample_batch(100).unwrap();
         let snap = engine.stats();
         assert_eq!(snap.samples, 400);
         assert_eq!(snap.iterations, rep.iterations + h2.report().iterations);
@@ -465,7 +470,7 @@ mod tests {
         // KDS never rejects: rate is exactly 1
         let kds = Engine::build(&r, &s, &SampleConfig::new(l), Algorithm::Kds);
         let mut hk = kds.handle_seeded(5);
-        hk.sample(200).unwrap();
+        hk.sample_batch(200).unwrap();
         assert_eq!(hk.rejection_rate(), Some(1.0));
         assert_eq!(kds.stats().rejection_rate(), 1.0);
     }

@@ -63,13 +63,9 @@ pub struct PlanReport {
     /// unsharded). Sharding never changes the algorithm choice — the
     /// per-iteration distribution is shard-oblivious — but it is
     /// recorded here because the shard count is part of the build's
-    /// identity (the [`crate::EngineCache`] keys on it).
+    /// identity (a serving layer's engine map keys on it, next to the
+    /// dataset and `l`).
     pub num_shards: usize,
-    /// Whether the engine serving this plan has the buffered draw fast
-    /// path active. The planner itself always stamps `false` — buffer
-    /// state is a serving-time property, not a build-time decision —
-    /// and [`crate::Engine::plan`] overwrites it with the live flag.
-    pub buffers: bool,
     /// Human-readable decision rationale.
     pub reason: &'static str,
 }
@@ -101,7 +97,6 @@ pub(crate) fn plan(
             est_overhead: None,
             algorithm: Algorithm::Kds,
             num_shards,
-            buffers: false,
             reason: "n·√m below the exact-counting budget: KDS's zero-rejection \
                      sampling wins and its O(n√m) build is negligible",
         };
@@ -167,7 +162,6 @@ pub(crate) fn plan(
         est_overhead: Some(est_overhead),
         algorithm,
         num_shards,
-        buffers: false,
         reason,
     };
     (report, Some((grid, grid_build_time)))

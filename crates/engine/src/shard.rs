@@ -243,18 +243,10 @@ impl<I: SamplerIndex> SamplerIndex for ShardedIndex<I> {
         I::drain_cell_rejections(scratch, out);
     }
 
-    fn set_buffers(scratch: &mut Self::Scratch, enabled: bool) {
+    fn arm_buffers(scratch: &mut Self::Scratch, seed: u64) {
         // One shared scratch serves every shard, and all shards draw
         // from the one shared S-side, so the buffers are shard-blind.
-        I::set_buffers(scratch, enabled);
-    }
-
-    fn warm_buffers(scratch: &mut Self::Scratch, slots: &[u32]) {
-        I::warm_buffers(scratch, slots);
-    }
-
-    fn seed_buffers(scratch: &mut Self::Scratch, seed: u64) {
-        I::seed_buffers(scratch, seed);
+        I::arm_buffers(scratch, seed);
     }
 
     fn drain_buffer_stats(scratch: &mut Self::Scratch) -> BufferStats {

@@ -1,7 +1,7 @@
 //! Lock-free aggregate query statistics for an [`crate::Engine`].
 //!
-//! Every handle records each query (one `sample_one` or one batched
-//! `sample(t)` call) into the engine's shared [`EngineStats`]:
+//! Every handle records each query (one `sample_batch(t)` call) into
+//! the engine's shared [`EngineStats`]:
 //! a query counter, a sample counter, an error counter, and a
 //! log₂-bucketed latency histogram. The primitives are the
 //! [`srj_obs`] metrics cells — plain relaxed atomics, so recording is
@@ -166,7 +166,7 @@ impl CellRejectionStats {
 /// A point-in-time view of an engine's aggregate statistics.
 #[derive(Clone, Copy, Debug)]
 pub struct StatsSnapshot {
-    /// Queries served (each `sample_one` / batched `sample` call).
+    /// Queries served (each `sample_batch` call).
     pub queries: u64,
     /// Join samples drawn across all queries.
     pub samples: u64,

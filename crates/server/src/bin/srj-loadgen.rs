@@ -36,7 +36,7 @@ const USAGE: &str = "usage: srj-loadgen [--addr HOST:PORT] [--clients N] [--requ
                    [--dataset ID] [--l F] [--algo auto|kds|kds-rejection|bbst]
                    [--shards N] [--update-fraction F] [--update-batch N]
                    [--delete-heavy] [--obs-bench] [--chaos] [--fault-seed N]
-                   [--buffers on|off|ab] [--connections N]
+                   [--connections N]
                    [--connect-timeout-ms N]
                    [--no-nodelay] [--domain F] [--out PATH] [--shutdown]
   Defaults: --addr 127.0.0.1:7878 --clients 4 --requests 8 --t 50000
@@ -45,8 +45,7 @@ const USAGE: &str = "usage: srj-loadgen [--addr HOST:PORT] [--clients N] [--requ
             --connect-timeout-ms 5000 --fault-seed 7
             --out BENCH_PR3.json (BENCH_PR5.json with --delete-heavy,
             BENCH_PR8.json with --obs-bench, BENCH_PR7.json with --chaos,
-            BENCH_PR9.json with --buffers, BENCH_PR10.json with
-            --connections)
+            BENCH_PR10.json with --connections)
   --delete-heavy: every request is preceded by a DELETE batch of S ids
                   (no inserts); asserts the served Σµ strictly shrinks
                   across the resulting epoch swap and writes the PR5
@@ -68,17 +67,6 @@ const USAGE: &str = "usage: srj-loadgen [--addr HOST:PORT] [--clients N] [--requ
            faults, and the hardening paths (retries, BUSY answers,
            idle-connection reaping) demonstrably fired. Writes the PR7
            bench JSON.
-  --buffers: ignore --addr; benchmark the buffered draw fast path.
-           Starts identical in-process servers differing only in
-           `ServerConfig::buffers` — off serves the legacy per-draw
-           stream (virtual RNG dispatch, per-item accounting), on
-           serves the monomorphised batch path with per-cell sample
-           buffers — and runs the same read load against both. Untimed
-           warm-up phase pairs repeat until back-to-back rates settle
-           within 10% per side, then the timed rounds record best-of
-           rates, per-round rates, and spread into the PR9 bench JSON
-           (\"speedup\" = buffered/unbuffered). `on` or `off` runs a
-           single side (no speedup); `ab` runs the A/B.
   --connections N: ignore --addr; run the high-fanout serving bench
            against an in-process server — phase 1 is the plain read
            workload alone (the regression gate vs the
@@ -426,212 +414,6 @@ fn run_obs_bench(
     .unwrap();
     writeln!(json, "  \"measured_ratio\": {measured_ratio:.4}").unwrap();
     writeln!(json, "}}").unwrap();
-    print!("{json}");
-    if let Err(e) = std::fs::write(out_path, &json) {
-        eprintln!("warning: could not write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("# wrote {out_path}");
-    std::process::exit(0);
-}
-
-/// In-process A/B of the buffered draw fast path: identical servers
-/// and workloads, differing only in [`ServerConfig::buffers`] — off
-/// serves every draw through the legacy stream (per-draw virtual RNG
-/// dispatch, per-item accounting), on serves whole batches through
-/// the monomorphised cursor path with per-cell sample buffers.
-///
-/// Untimed warm-up phase pairs run the full workload first and repeat
-/// until back-to-back rates per side settle within 10% (max 3 pairs),
-/// so the timed rounds never pay cold caches, page-cache misses, or
-/// CPU-frequency ramp. Each timed round runs the two sides
-/// back-to-back and the reported `speedup` is the **median of the
-/// per-round paired ratios**: pairing cancels the box-speed drift
-/// that dominates a shared machine (a round where the host runs fast
-/// runs *both* sides fast), and the median discards the occasional
-/// outlier round that a best-vs-best comparison would latch onto.
-/// The per-round rates and spread still go into the JSON so a reader
-/// can judge the noise floor against the reported speedup.
-#[allow(clippy::too_many_arguments)]
-fn run_buffers_bench(
-    cfg: ClientConfig,
-    clients_n: usize,
-    requests: usize,
-    t: u64,
-    l: f64,
-    algorithm: Option<Algorithm>,
-    algo_str: &str,
-    shards: u32,
-    domain: f64,
-    mode: &str,
-    out_path: &str,
-) -> ! {
-    let dataset = 1u64;
-    let run_off = mode != "on";
-    let run_on = mode != "off";
-    let phase = |buffers: bool| -> (f64, u64) {
-        // Identical dataset per phase (same generator seeds).
-        let mut gen = PointGen::new(0x0B5_BE7C4, domain);
-        let r: Vec<Point> = (0..20_000).map(|_| gen.point()).collect();
-        let s: Vec<Point> = (0..20_000).map(|_| gen.point()).collect();
-        let mut registry = DatasetRegistry::new();
-        registry.register(dataset, r, s);
-        // The only knob that differs between the sides.
-        let config = ServerConfig {
-            buffers,
-            ..ServerConfig::default()
-        };
-        let mut server =
-            Server::start("127.0.0.1:0", registry, config).expect("bind buffers-bench server");
-        let addr = server.local_addr().to_string();
-        // Pay the index build outside the clock.
-        if let Ok(mut c) = Client::connect_with(addr.as_str(), cfg) {
-            let _ = c.sample(SampleRequest {
-                req_id: 0,
-                dataset,
-                l,
-                algorithm,
-                shards,
-                t: 1,
-                seed: 1,
-            });
-        }
-        let wall_start = Instant::now();
-        let outcomes: Vec<ClientOutcome> = std::thread::scope(|scope| {
-            let addr = &addr;
-            let handles: Vec<_> = (0..clients_n)
-                .map(|cid| {
-                    scope.spawn(move || {
-                        run_client(
-                            cid, addr, cfg, requests, t, dataset, l, algorithm, shards, 0, 1,
-                            domain,
-                        )
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        let wall = wall_start.elapsed();
-        server.shutdown();
-        let total: u64 = outcomes.iter().map(|o| o.samples).sum();
-        let errors: u64 = outcomes.iter().map(|o| o.errors).sum();
-        if errors > 0 || total == 0 {
-            eprintln!("buffers-bench phase failed: {errors} errors, {total} samples");
-            std::process::exit(1);
-        }
-        (total as f64 / wall.as_secs_f64().max(1e-9), total)
-    };
-
-    eprintln!(
-        "# buffers-bench ({mode}): {clients_n} clients x {requests} reqs x {t} samples, \
-         legacy stream vs buffered batch draw path"
-    );
-    // Warm-up: a side that is not run reports 0.0 and counts as
-    // settled, so single-side modes converge on their own rate alone.
-    const WARMUP_MAX: usize = 3;
-    let mut warmup_pairs = 0usize;
-    let mut prev: Option<(f64, f64)> = None;
-    for _ in 0..WARMUP_MAX {
-        let off = if run_off { phase(false).0 } else { 0.0 };
-        let on = if run_on { phase(true).0 } else { 0.0 };
-        warmup_pairs += 1;
-        eprintln!("# warm-up {warmup_pairs}: off {off:.0} samples/s, on {on:.0} samples/s");
-        let settled = |p: f64, c: f64| p <= 0.0 || c <= 0.0 || (c - p).abs() / c.max(1e-9) < 0.10;
-        let done = prev.is_some_and(|(po, pn)| settled(po, off) && settled(pn, on));
-        prev = Some((off, on));
-        if done {
-            break;
-        }
-    }
-    const ROUNDS: usize = 5;
-    let mut off_rates = Vec::with_capacity(ROUNDS);
-    let mut on_rates = Vec::with_capacity(ROUNDS);
-    let mut total = 0u64;
-    for round in 0..ROUNDS {
-        let off = if run_off {
-            let (r, n) = phase(false);
-            total = n;
-            off_rates.push(r);
-            r
-        } else {
-            0.0
-        };
-        let on = if run_on {
-            let (r, n) = phase(true);
-            total = n;
-            on_rates.push(r);
-            r
-        } else {
-            0.0
-        };
-        eprintln!("# round {round}: off {off:.0} samples/s, on {on:.0} samples/s");
-    }
-    let best = |rates: &[f64]| rates.iter().copied().fold(0.0f64, f64::max);
-    let spread_pct = |rates: &[f64]| {
-        let hi = best(rates);
-        let lo = rates.iter().copied().fold(f64::INFINITY, f64::min);
-        (hi - lo) / hi.max(1e-9) * 100.0
-    };
-    let fmt_rates = |rates: &[f64]| {
-        let items: Vec<String> = rates.iter().map(|r| format!("{r:.0}")).collect();
-        format!("[{}]", items.join(", "))
-    };
-
-    let mut fields: Vec<String> = vec![
-        "  \"pr\": 9".to_string(),
-        format!("  \"host_cores\": {}", host_cores()),
-        format!("  \"mode\": \"{mode}\""),
-        format!(
-            "  \"workload\": {{\"clients\": {clients_n}, \"requests_per_client\": {requests}, \
-             \"t\": {t}, \"dataset\": {dataset}, \"l\": {l}, \"algorithm\": \"{algo_str}\", \
-             \"shards\": {shards}}}"
-        ),
-        format!("  \"warmup_pairs\": {warmup_pairs}"),
-        format!("  \"rounds\": {ROUNDS}"),
-        format!("  \"total_samples_per_phase\": {total}"),
-    ];
-    if run_off {
-        fields.push(format!(
-            "  \"samples_per_sec_unbuffered_phases\": {}",
-            fmt_rates(&off_rates)
-        ));
-        fields.push(format!(
-            "  \"unbuffered_spread_pct\": {:.2}",
-            spread_pct(&off_rates)
-        ));
-        fields.push(format!(
-            "  \"samples_per_sec_unbuffered\": {:.0}",
-            best(&off_rates)
-        ));
-    }
-    if run_on {
-        fields.push(format!(
-            "  \"samples_per_sec_buffered_phases\": {}",
-            fmt_rates(&on_rates)
-        ));
-        fields.push(format!(
-            "  \"buffered_spread_pct\": {:.2}",
-            spread_pct(&on_rates)
-        ));
-        fields.push(format!(
-            "  \"samples_per_sec_buffered\": {:.0}",
-            best(&on_rates)
-        ));
-    }
-    if run_off && run_on {
-        let ratios: Vec<f64> = off_rates
-            .iter()
-            .zip(&on_rates)
-            .map(|(off, on)| on / off.max(1e-9))
-            .collect();
-        let items: Vec<String> = ratios.iter().map(|r| format!("{r:.4}")).collect();
-        fields.push(format!("  \"paired_ratios\": [{}]", items.join(", ")));
-        let mut sorted = ratios.clone();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        let speedup = sorted[sorted.len() / 2];
-        fields.push(format!("  \"speedup\": {speedup:.4}"));
-    }
-    let json = format!("{{\n{}\n}}\n", fields.join(",\n"));
     print!("{json}");
     if let Err(e) = std::fs::write(out_path, &json) {
         eprintln!("warning: could not write {out_path}: {e}");
@@ -1585,7 +1367,6 @@ fn main() {
     let mut delete_heavy = false;
     let mut obs_bench = false;
     let mut chaos = false;
-    let mut buffers_mode: Option<String> = None;
     let mut connections: usize = 0;
     let mut fault_seed: u64 = 7;
     let mut connect_timeout_ms: u64 = 5_000;
@@ -1637,13 +1418,6 @@ fn main() {
             }
             "--connections" => parse_flag!(connections, "--connections", "an integer"),
             "--fault-seed" => parse_flag!(fault_seed, "--fault-seed", "an integer"),
-            "--buffers" => {
-                let v = value(&args, &mut i, "--buffers");
-                match v.as_str() {
-                    "on" | "off" | "ab" => buffers_mode = Some(v),
-                    _ => fail("--buffers takes on, off, or ab"),
-                }
-            }
             "--connect-timeout-ms" => {
                 parse_flag!(connect_timeout_ms, "--connect-timeout-ms", "an integer")
             }
@@ -1680,12 +1454,7 @@ fn main() {
     if chaos && (obs_bench || delete_heavy || update_fraction > 0.0) {
         fail("--chaos is its own workload (no --obs-bench/--delete-heavy/--update-fraction)");
     }
-    if buffers_mode.is_some() && (chaos || obs_bench || delete_heavy || update_fraction > 0.0) {
-        fail("--buffers runs its own pure read A/B (no other workload modes)");
-    }
-    if connections > 0
-        && (buffers_mode.is_some() || chaos || obs_bench || delete_heavy || update_fraction > 0.0)
-    {
+    if connections > 0 && (chaos || obs_bench || delete_heavy || update_fraction > 0.0) {
         fail("--connections runs its own high-fanout read workload (no other workload modes)");
     }
     let cfg = ClientConfig {
@@ -1696,8 +1465,6 @@ fn main() {
     let out_path = out_path.unwrap_or_else(|| {
         if connections > 0 {
             "BENCH_PR10.json".to_string()
-        } else if buffers_mode.is_some() {
-            "BENCH_PR9.json".to_string()
         } else if chaos {
             "BENCH_PR7.json".to_string()
         } else if obs_bench {
@@ -1723,21 +1490,6 @@ fn main() {
             &algo_str,
             shards,
             domain,
-            &out_path,
-        );
-    }
-    if let Some(mode) = &buffers_mode {
-        run_buffers_bench(
-            cfg,
-            clients.max(1),
-            requests,
-            t,
-            l,
-            algorithm,
-            &algo_str,
-            shards,
-            domain,
-            mode,
             &out_path,
         );
     }

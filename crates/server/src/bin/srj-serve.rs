@@ -29,7 +29,7 @@ const USAGE: &str = "usage: srj-serve [--addr HOST:PORT] [--workers N] [--queue-
                  [--shed-high-water N]
                  [--http-port N] [--slow-log N] [--slow-threshold-ms N]
                  [--timeseries-cadence-ms N] [--no-profiler]
-                 [--health-window-ms N] [--buffers on|off]
+                 [--health-window-ms N]
                  [--dataset ID=KIND:SCALE[:SEED]]... [--dataset-file ID=R_PATH[,S_PATH]]...
   KIND: uniform | road | poi | trajectory | taxi
   --trace-sample-rate: fraction of SAMPLE requests recording trace
@@ -42,8 +42,6 @@ const USAGE: &str = "usage: srj-serve [--addr HOST:PORT] [--workers N] [--queue-
   --timeseries-cadence-ms: metric history snapshot cadence
                (0 disables the recorder; default 1000)
   --no-profiler: disable worker-state sampling
-  --buffers: serve batches through the buffered draw fast path
-      (default on; off = legacy per-item streaming draw)
   --health-window-ms: how long /healthz stays degraded after the last
                shed/reap/reject/replan signal (default 5000)
   --log-json: print every lifecycle event (swaps, patches, repairs,
@@ -288,11 +286,6 @@ fn main() {
                 config.profiler = false;
                 i += 1;
             }
-            "--buffers" => match value(&args, &mut i, "--buffers").as_str() {
-                "on" => config.buffers = true,
-                "off" => config.buffers = false,
-                _ => fail("--buffers takes on|off"),
-            },
             "--health-window-ms" => {
                 config.health_degraded_window_ms = value(&args, &mut i, "--health-window-ms")
                     .parse()

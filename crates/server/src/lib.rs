@@ -310,6 +310,162 @@ mod tests {
         server.shutdown();
     }
 
+    fn shaped(l: f64, shards: u32, algorithm: Option<Algorithm>) -> SampleRequest {
+        SampleRequest {
+            req_id: 0,
+            dataset: 5,
+            l,
+            algorithm,
+            shards,
+            t: 10,
+            seed: 1,
+        }
+    }
+
+    /// Starts a server over two 200×300 datasets (ids 5 and 6) whose
+    /// engine maps hold two shapes each.
+    fn two_engine_server() -> Server {
+        let mut registry = DatasetRegistry::new();
+        for id in [5, 6] {
+            registry.register(
+                id,
+                pseudo_points(200, 11, 50.0),
+                pseudo_points(300, 12, 50.0),
+            );
+        }
+        let config = ServerConfig {
+            cache_capacity: 2,
+            ..ServerConfig::default()
+        };
+        Server::start("127.0.0.1:0", registry, config).unwrap()
+    }
+
+    /// Sends each request and returns the engine map's `(hits, misses)`
+    /// as `STATS` reads them afterwards.
+    fn map_counters(client: &mut Client, requests: &[SampleRequest]) -> (u64, u64) {
+        for req in requests {
+            assert_eq!(client.sample(*req).unwrap().status, RequestStatus::Ok);
+        }
+        let stats = client.server_stats().unwrap();
+        (stats.cache_hits, stats.cache_misses)
+    }
+
+    /// Engines are keyed by dataset and by the exact `l` bits: the
+    /// next representable `l` and the same `l` on another dataset each
+    /// miss, while the base shape keeps hitting between them.
+    #[test]
+    fn engine_map_keys_on_dataset_and_l_bits() {
+        let _serial = serial();
+        let mut server = two_engine_server();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let base = shaped(5.0, 1, None);
+        let next_l = f64::from_bits(5.0f64.to_bits() + 1);
+        let other_dataset = SampleRequest { dataset: 6, ..base };
+        let requests = [base, shaped(next_l, 1, None), base, other_dataset, base];
+        assert_eq!(map_counters(&mut client, &requests), (2, 3));
+        assert_eq!(client.server_stats().unwrap().engines_cached, 3);
+        server.shutdown();
+    }
+
+    /// The shard count is part of the key: a sharded request never
+    /// resolves to the unsharded engine of the same `l`, and each
+    /// topology hits its own entry afterwards.
+    #[test]
+    fn engine_map_keys_on_shard_count() {
+        let _serial = serial();
+        let mut server = two_engine_server();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let unsharded = shaped(5.0, 1, None);
+        let sharded = shaped(5.0, 2, None);
+        let requests = [unsharded, sharded, unsharded, sharded];
+        assert_eq!(map_counters(&mut client, &requests), (2, 2));
+        assert_eq!(client.server_stats().unwrap().engines_cached, 2);
+        server.shutdown();
+    }
+
+    /// The requested algorithm is part of the key: a forced algorithm
+    /// misses next to the auto entry, and forcing a different one
+    /// misses again even at the same `l` and shard count.
+    #[test]
+    fn engine_map_keys_on_requested_algorithm() {
+        let _serial = serial();
+        let mut server = two_engine_server();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let auto = shaped(5.0, 1, None);
+        let bbst = shaped(5.0, 1, Some(Algorithm::Bbst));
+        let kds = shaped(5.0, 1, Some(Algorithm::Kds));
+        let requests = [auto, bbst, auto, bbst, kds];
+        assert_eq!(map_counters(&mut client, &requests), (2, 3));
+        assert_eq!(client.server_stats().unwrap().engines_cached, 2);
+        server.shutdown();
+    }
+
+    /// At capacity the map evicts the least recently *used* shape: in
+    /// A, B, A, C, A, B the hit on A makes B the victim of C, so the
+    /// last B misses while the fourth A hits (first-in eviction would
+    /// read one hit and five misses).
+    #[test]
+    fn engine_map_evicts_least_recently_used() {
+        let _serial = serial();
+        let mut server = two_engine_server();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let [a, b, c] = [4.0, 5.0, 6.0].map(|l| shaped(l, 1, None));
+        assert_eq!(map_counters(&mut client, &[a, b, a, c, a, b]), (2, 4));
+        assert_eq!(client.server_stats().unwrap().engines_cached, 2);
+        server.shutdown();
+    }
+
+    /// Served batches really draw through the sample buffers: one large
+    /// request per algorithm choice leaves that dataset's buffer-hit
+    /// counter above zero.
+    #[test]
+    fn served_batches_hit_the_sample_buffers() {
+        let _serial = serial();
+        let choices = [
+            None,
+            Some(Algorithm::Kds),
+            Some(Algorithm::KdsRejection),
+            Some(Algorithm::Bbst),
+        ];
+        let mut registry = DatasetRegistry::new();
+        for id in 1..=choices.len() as u64 {
+            registry.register(
+                id,
+                pseudo_points(200, 13, 50.0),
+                pseudo_points(300, 14, 50.0),
+            );
+        }
+        let mut server = Server::start("127.0.0.1:0", registry, ServerConfig::default()).unwrap();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        for (id, algorithm) in (1u64..).zip(choices) {
+            let outcome = client
+                .sample(SampleRequest {
+                    req_id: 0,
+                    dataset: id,
+                    l: 10.0,
+                    algorithm,
+                    shards: 1,
+                    t: 5_000,
+                    seed: 3,
+                })
+                .unwrap();
+            assert_eq!(outcome.status, RequestStatus::Ok);
+        }
+        let text = client.metrics().unwrap();
+        for (id, algorithm) in (1u64..).zip(choices) {
+            let series = format!("srj_buffer_hits_total{{dataset=\"{id}\"}} ");
+            let hits: u64 = text
+                .lines()
+                .find_map(|line| line.strip_prefix(&series))
+                .unwrap_or_else(|| panic!("missing {series:?} in:\n{text}"))
+                .trim()
+                .parse()
+                .unwrap();
+            assert!(hits > 0, "{algorithm:?}: no buffer hits");
+        }
+        server.shutdown();
+    }
+
     fn http_get(addr: std::net::SocketAddr, head: &str) -> String {
         use std::io::{Read, Write};
         let mut s = std::net::TcpStream::connect(addr).unwrap();

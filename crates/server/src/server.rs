@@ -27,7 +27,7 @@
 //! [`SamplerHandle`] for its whole lifetime — the engine/handle
 //! acquisition is paid once per request, not per sample. Each worker
 //! step drains one batch ([`ServerConfig::batch_pairs`] samples)
-//! through [`SamplerHandle::stream`] into one `BATCH` frame, then
+//! through [`SamplerHandle::sample_batch`] into one `BATCH` frame, then
 //! requeues the job at the back of the global queue, so concurrent
 //! requests interleave fairly regardless of their `t`.
 //!
@@ -58,7 +58,7 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use srj_core::{JoinPair, SampleConfig, SampleError};
+use srj_core::{SampleConfig, SampleError};
 use srj_engine::{DatasetStore, EngineStats, EpochConfig, EpochEngine, SamplerHandle};
 use srj_geom::Point;
 use srj_obs::journal::EventKind;
@@ -176,12 +176,6 @@ pub struct ServerConfig {
     /// re-plan) is younger than this window, milliseconds. Default
     /// 5000.
     pub health_degraded_window_ms: u64,
-    /// Whether `SAMPLE` batches are drawn through the engines'
-    /// buffered fast path ([`SamplerHandle::sample_batch`]:
-    /// monomorphised RNG, pre-drawn per-cell sample buffers, one stats
-    /// record per batch) instead of the per-item streaming draw.
-    /// Default true; turn off to A/B the legacy path.
-    pub buffers: bool,
 }
 
 impl Default for ServerConfig {
@@ -208,7 +202,6 @@ impl Default for ServerConfig {
             timeseries_cadence_ms: 1000,
             profiler: true,
             health_degraded_window_ms: 5000,
-            buffers: true,
         }
     }
 }
@@ -257,8 +250,8 @@ impl ServedDataset {
     }
 
     /// The engine for `key`, building it on a miss (outside the map
-    /// lock, as with the engine cache: concurrent misses on different
-    /// shapes must not serialise on one mutex for a whole build). The
+    /// lock: concurrent misses on different shapes must not serialise
+    /// on one mutex for a whole build). The
     /// vector is kept in recency order — a hit moves its entry to the
     /// back — so eviction at capacity drops the least-recently-used
     /// shape, never a hot one; in-flight handles of an evicted engine
@@ -1681,9 +1674,7 @@ fn acquire_handle(
                 algorithm: req.algorithm,
                 ..shared.config.epoch
             };
-            let engine = EpochEngine::with_store(Arc::clone(&served.store), &config, epoch_cfg);
-            engine.set_buffers_enabled(shared.config.buffers);
-            engine
+            EpochEngine::with_store(Arc::clone(&served.store), &config, epoch_cfg)
         },
         &shared.engine_hits,
         &shared.engine_misses,
@@ -1773,22 +1764,14 @@ fn produce_batch(shared: &Arc<Shared>, job: &mut Job) {
     let remaining = job.req.t.saturating_sub(job.sent);
     let batch = remaining.min(shared.config.batch_pairs as u64) as usize;
     trace::event("draw_loop", "batch_begin");
-    let (pairs, error) = if shared.config.buffers {
-        // Buffered fast path: the whole batch is drawn with the
-        // handle's concrete RNG (no per-draw virtual dispatch), hot
-        // cells serve from pre-drawn buffers, and the engine records
-        // one query per batch. An error forfeits the batch's partial
-        // draws — the DONE status carries the error either way.
-        match handle.sample_batch(batch) {
-            Ok(pairs) => (pairs, None),
-            Err(e) => (Vec::new(), Some(e)),
-        }
-    } else {
-        let mut stream = handle.stream();
-        let pairs: Vec<JoinPair> = stream.by_ref().take(batch).collect();
-        let error = stream.error();
-        drop(stream);
-        (pairs, error)
+    // The whole batch is drawn with the handle's concrete RNG (no
+    // per-draw virtual dispatch), hot cells serve from pre-drawn
+    // buffers, and the engine records one query per batch. An error
+    // forfeits the batch's partial draws — the DONE status carries
+    // the error either way.
+    let (pairs, error) = match handle.sample_batch(batch) {
+        Ok(pairs) => (pairs, None),
+        Err(e) => (Vec::new(), Some(e)),
     };
     trace::event("draw_loop", "batch_end");
     job.sent += pairs.len() as u64;

@@ -219,25 +219,38 @@ fn saturated_queue_sheds_samples_with_busy() {
         seed: 2,
     });
     stream.write_all(&encode_request(&big)).unwrap();
-    // Wait until the job has demonstrably parked on the full response
-    // queue: the writer is wedged against our unread socket buffer, so
-    // once the park counter moves the connection stays saturated.
+    // Wait until the connection is saturated *now*: the job is parked
+    // on the full response queue and stays there. The first park can
+    // come before the socket buffers fill — the event loop then drains
+    // the queue into the socket, un-parks the job and the lone worker
+    // runs it, and a SAMPLE decoded meanwhile finds nothing parked and
+    // nothing queued, so it would be queued rather than shed. Every
+    // re-run of the job ends in a fresh park, so a park counter that
+    // has not moved for a quiet window means the job has sat parked
+    // against a full socket for that whole window.
+    let parks = || {
+        server
+            .metrics_text()
+            .lines()
+            .find_map(|l| l.strip_prefix("srj_backpressure_parks_total "))
+            .map_or(0, |v| v.trim().parse::<u64>().unwrap())
+    };
+    const QUIET: Duration = Duration::from_millis(300);
     let started = Instant::now();
+    let mut last = (parks(), Instant::now());
     loop {
-        let text = server.metrics_text();
-        if text.lines().any(|l| {
-            l.strip_prefix("srj_backpressure_parks_total ")
-                .is_some_and(|v| v.trim() != "0")
-        }) {
+        std::thread::sleep(Duration::from_millis(20));
+        let now = parks();
+        if now != last.0 {
+            last = (now, Instant::now());
+        } else if now > 0 && last.1.elapsed() >= QUIET {
             break;
         }
         assert!(
             started.elapsed() < Duration::from_secs(120),
-            "sample job never parked"
+            "sample job never stayed parked (parks = {now})"
         );
-        std::thread::sleep(Duration::from_millis(20));
     }
-    std::thread::sleep(Duration::from_millis(50));
     // The next SAMPLE on the saturated connection must be shed, not
     // queued behind megabytes of backlog.
     let second = Request::Sample(SampleRequest {
@@ -249,9 +262,17 @@ fn saturated_queue_sheds_samples_with_busy() {
     });
     stream.write_all(&encode_request(&second)).unwrap();
 
+    // A SAMPLE queued instead of shed never yields a BUSY frame, and
+    // the loop below would block once both streams ran dry: fail fast
+    // instead of waiting for the idle reaper.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
     let mut saw_busy = None;
     for _ in 0..100_000 {
-        let payload = read_frame(&mut stream).unwrap().expect("closed early");
+        let payload = read_frame(&mut stream)
+            .expect("no frame within 10 s: the second SAMPLE was queued, not shed")
+            .expect("closed early");
         match decode_response(&payload).unwrap() {
             Response::Busy {
                 req_id,

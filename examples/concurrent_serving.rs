@@ -11,14 +11,13 @@
 //! 3. serves batched sample queries from 8 threads against the one
 //!    shared index,
 //! 4. prints the engine's aggregate statistics (throughput, p50/p99),
-//! 5. shows the `(dataset id, l)` engine cache absorbing a repeated
-//!    window size.
+//! 5. samples progressively — batches until a stopping rule fires.
 
 use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
 
-use srj::{generate, split_rs, DatasetKind, DatasetSpec, Engine, EngineCache, Rect, SampleConfig};
+use srj::{generate, split_rs, DatasetKind, DatasetSpec, Engine, Rect, SampleConfig};
 
 const THREADS: u64 = 8;
 const QUERIES_PER_THREAD: usize = 50;
@@ -62,7 +61,9 @@ fn main() {
             scope.spawn(move || {
                 let mut handle = engine.handle_seeded(0x5EED ^ tid);
                 for _ in 0..QUERIES_PER_THREAD {
-                    let pairs = handle.sample(SAMPLES_PER_QUERY).expect("non-empty join");
+                    let pairs = handle
+                        .sample_batch(SAMPLES_PER_QUERY)
+                        .expect("non-empty join");
                     // spot-check: every draw is a genuine join result
                     let p = pairs[0];
                     assert!(Rect::window(r[p.r as usize], l).contains(s[p.s as usize]));
@@ -88,41 +89,23 @@ fn main() {
         stats.mean_latency, stats.p50_latency, stats.p99_latency
     );
 
-    // 5. Progressive sampling: stream until a stopping rule fires (here,
-    //    1000 distinct r ids — "stop sampling whenever sufficient join
-    //    samples are obtained", §II). The stream records one aggregate
-    //    stats query per internal batch, not one per draw.
+    // 5. Progressive sampling: draw batches until a stopping rule fires
+    //    (here, 1000 distinct r ids — "stop sampling whenever
+    //    sufficient join samples are obtained", §II). Each batch is one
+    //    recorded stats query.
     let queries_before = engine.stats().queries;
     let mut h = engine.handle_seeded(777);
     let mut distinct_r = std::collections::HashSet::new();
     let mut drawn = 0u64;
-    for pair in h.stream() {
-        drawn += 1;
-        distinct_r.insert(pair.r);
-        if distinct_r.len() >= 1_000 {
-            break;
+    while distinct_r.len() < 1_000 {
+        for pair in h.sample_batch(256).expect("non-empty join") {
+            drawn += 1;
+            distinct_r.insert(pair.r);
         }
     }
     println!(
-        "\nstreamed       : {drawn} draws to reach 1000 distinct r ids \
+        "\nprogressive    : {drawn} draws to reach 1000 distinct r ids \
          ({} stats queries recorded)",
         engine.stats().queries - queries_before
     );
-
-    // 6. Repeated window sizes hit the engine cache instead of
-    //    rebuilding the index.
-    let cache = EngineCache::new(8);
-    const DATASET_ID: u64 = 1;
-    for pass in 0..3 {
-        let t = Instant::now();
-        let e = cache.get_or_build(DATASET_ID, l, || Engine::auto(&r, &s, &config));
-        let mut h = e.handle_seeded(pass);
-        h.sample(1_000).unwrap();
-        println!(
-            "cache pass {pass} : {:?} ({} hit / {} miss)",
-            t.elapsed(),
-            cache.hits(),
-            cache.misses()
-        );
-    }
 }

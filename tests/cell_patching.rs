@@ -170,7 +170,7 @@ fn patch_swap_rebuilds_only_dirty_cells_and_stays_uniform() {
         let mut h = engine.handle_seeded(9 + seed);
         let mut counts: HashMap<JoinPair, u64> = HashMap::new();
         for _ in 0..draws {
-            let p = h.sample_one().unwrap();
+            let p = h.sample_batch(1).unwrap()[0];
             assert!(
                 join_set.contains(&p),
                 "{algo}: emitted dead or non-join pair {p:?}"
@@ -264,7 +264,7 @@ fn per_cell_feedback_drives_targeted_repair() {
     // Sampling measures the looseness and attributes every rejection
     // to its corner cell.
     let mut h = engine.handle_seeded(11);
-    h.sample(4_000).unwrap();
+    h.sample_batch(4_000).unwrap();
     let observed = engine.observed_rejection_rate().unwrap();
     assert!(observed > 2.0, "dud slots must reject: observed {observed}");
     let rejections = engine
@@ -290,7 +290,7 @@ fn per_cell_feedback_drives_targeted_repair() {
     // The repaired engine still serves the exact join, with a far
     // better acceptance rate.
     let mut h2 = engine.handle_seeded(12);
-    let pairs = h2.sample(2_000).unwrap();
+    let pairs = h2.sample_batch(2_000).unwrap();
     for p in pairs {
         let w = Rect::window(r[p.r as usize], l);
         assert!(w.contains(s[p.s as usize]));
@@ -326,10 +326,10 @@ fn repair_exhaustion_escalates_cleanly() {
             .with_repair_factor(1.0)
             .with_replan_min_samples(128),
     );
-    engine.handle_seeded(5).sample(2_000).unwrap();
+    engine.handle_seeded(5).sample_batch(2_000).unwrap();
     engine.refresh();
     assert_eq!(engine.repairs(), 0, "nothing is repairable");
     // Pinned: no re-plan either; the engine keeps serving.
     assert_eq!(engine.replans(), 0);
-    assert!(engine.handle_seeded(6).sample(100).is_ok());
+    assert!(engine.handle_seeded(6).sample_batch(100).is_ok());
 }

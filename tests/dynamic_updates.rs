@@ -74,7 +74,7 @@ fn draw_and_check(engine: &EpochEngine, l: f64, seed: u64, what: &str) {
     let mut h = engine.handle_seeded(seed);
     let mut counts: HashMap<JoinPair, u64> = HashMap::new();
     for _ in 0..draws {
-        let p = h.sample_one().unwrap();
+        let p = h.sample_batch(1).unwrap()[0];
         assert!(
             join_set.contains(&p),
             "{what}: emitted dead or non-join pair {p:?}"
@@ -175,7 +175,7 @@ fn in_flight_handles_survive_epoch_swaps() {
                 start.wait();
                 let mut drawn = 0usize;
                 while drawn < PER_THREAD || !swapped.load(Ordering::Acquire) {
-                    let p = h.sample_one().expect("pinned handle must keep serving");
+                    let p = h.sample_batch(1).expect("pinned handle must keep serving")[0];
                     let rp = snap.r_point(p.r).expect("id outside pinned epoch");
                     let sp = snap.s_point(p.s).expect("id outside pinned epoch");
                     assert!(Rect::window(rp, l).contains(sp));
@@ -209,7 +209,7 @@ fn in_flight_handles_survive_epoch_swaps() {
     let snap = engine.store().snapshot();
     let mut h = engine.handle_seeded(999);
     for _ in 0..2_000 {
-        let p = h.sample_one().unwrap();
+        let p = h.sample_batch(1).unwrap()[0];
         let rp = snap.r_point(p.r).unwrap();
         let sp = snap.s_point(p.s).unwrap();
         assert!(Rect::window(rp, l).contains(sp));
@@ -242,7 +242,7 @@ fn rejection_divergence_replans_the_algorithm() {
     // A handle in flight across everything that follows.
     let pinned_snap = engine.store().snapshot();
     let mut pinned = engine.handle_seeded(3);
-    pinned.sample(100).unwrap();
+    pinned.sample_batch(100).unwrap();
 
     // Poison the workload: a far-away near-miss cluster. Every
     // inserted S point sits diagonally 1.9l from its R partner —
@@ -258,7 +258,7 @@ fn rejection_divergence_replans_the_algorithm() {
 
     // Sampling through the overlay measures the divergence.
     let mut h = engine.handle_seeded(4);
-    h.sample(2_000).unwrap();
+    h.sample_batch(2_000).unwrap();
     assert!(engine.engine().is_overlay());
     let observed = engine
         .observed_rejection_rate()
@@ -283,7 +283,7 @@ fn rejection_divergence_replans_the_algorithm() {
     // The pinned handle was never interrupted: still the old
     // algorithm, still serving its epoch's ids.
     assert_eq!(pinned.algorithm(), Algorithm::KdsRejection);
-    for p in pinned.sample(500).unwrap() {
+    for p in pinned.sample_batch(500).unwrap() {
         let rp = pinned_snap.r_point(p.r).unwrap();
         let sp = pinned_snap.s_point(p.s).unwrap();
         assert!(Rect::window(rp, l).contains(sp));
@@ -293,7 +293,7 @@ fn rejection_divergence_replans_the_algorithm() {
     let snap = engine.store().snapshot();
     assert!(snap.delta.is_empty(), "re-plan compacts the delta");
     let mut h2 = engine.handle_seeded(5);
-    for p in h2.sample(1_000).unwrap() {
+    for p in h2.sample_batch(1_000).unwrap() {
         let rp = snap.r_point(p.r).unwrap();
         let sp = snap.s_point(p.s).unwrap();
         assert!(Rect::window(rp, l).contains(sp));
@@ -367,8 +367,6 @@ fn buffered_batches_stay_uniform_across_mutations_and_swap() {
                 .with_rebuild_fraction(0.9)
                 .with_tombstone_rebuild_fraction(0.9),
         );
-        assert!(engine.buffers_enabled(), "{algo}: buffers default on");
-
         // Warm: batch draws on the fresh engine promote hot cells.
         draw_batches_and_check(&engine, l, seed + 7, &format!("{algo} buffered warm"));
         let (warm_hits, warm_refills, _) = engine.buffer_counters();
@@ -425,21 +423,6 @@ fn buffered_batches_stay_uniform_across_mutations_and_swap() {
             "{algo}: retiring the armed engine must charge an invalidation"
         );
     }
-}
-
-/// `PlanReport::buffers` mirrors the live engine flag, not the state
-/// at plan time.
-#[test]
-fn plan_report_tracks_buffer_flag() {
-    let r = pseudo_points(500, 81, 60.0);
-    let s = pseudo_points(500, 82, 60.0);
-    let engine = EpochEngine::new(r, s, &SampleConfig::new(6.0), EpochConfig::default());
-    let plan = engine.engine().plan().expect("auto engine records a plan");
-    assert!(plan.buffers, "buffers default on");
-    engine.set_buffers_enabled(false);
-    assert!(!engine.engine().plan().unwrap().buffers);
-    engine.set_buffers_enabled(true);
-    assert!(engine.engine().plan().unwrap().buffers);
 }
 
 /// Zero-sample and zero-iteration accessors return `None`, never NaN —

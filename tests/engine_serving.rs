@@ -7,7 +7,10 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::thread;
 
-use srj::{Algorithm, Engine, JoinPair, Point, Rect, SampleConfig};
+use srj::{
+    Algorithm, Client, DatasetRegistry, Engine, JoinPair, Point, Rect, RequestStatus, SampleConfig,
+    SampleRequest, Server, ServerConfig,
+};
 
 fn pseudo_points(n: usize, seed: u64, extent: f64) -> Vec<Point> {
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -46,7 +49,8 @@ fn concurrent_threads_share_one_engine() {
                         let engine = Arc::clone(engine);
                         scope.spawn(move || {
                             let mut h = engine.handle_seeded(0xFEED ^ tid);
-                            h.sample(PER_THREAD).expect("non-empty join must sample")
+                            h.sample_batch(PER_THREAD)
+                                .expect("non-empty join must sample")
                         })
                     })
                     .collect();
@@ -102,7 +106,7 @@ fn engine_path_is_uniform_over_join() {
     for algo in [Algorithm::Kds, Algorithm::KdsRejection, Algorithm::Bbst] {
         let engine = Engine::build(&r, &s, &SampleConfig::new(l), algo);
         let mut handle = engine.handle_seeded(0xC0FFEE);
-        let samples = handle.sample(draws).unwrap();
+        let samples = handle.sample_batch(draws).unwrap();
 
         let mut freq: HashMap<JoinPair, usize> = HashMap::new();
         for p in samples {
@@ -166,7 +170,7 @@ fn engine_path_is_uniform_across_threads() {
                 scope.spawn(move || {
                     engine
                         .handle_seeded(0xBEEF ^ tid)
-                        .sample(per_thread)
+                        .sample_batch(per_thread)
                         .unwrap()
                 })
             })
@@ -220,7 +224,7 @@ fn sharded_engine_matches_unsharded_uniformity() {
     for algo in [Algorithm::Kds, Algorithm::KdsRejection, Algorithm::Bbst] {
         let sharded = Engine::build_sharded(&r, &s, &SampleConfig::new(l), algo, 4);
         assert_eq!(sharded.shards(), 4);
-        let samples = sharded.handle_seeded(0xC0FFEE).sample(draws).unwrap();
+        let samples = sharded.handle_seeded(0xC0FFEE).sample_batch(draws).unwrap();
 
         let mut freq: HashMap<JoinPair, usize> = HashMap::new();
         for p in samples {
@@ -256,7 +260,7 @@ fn sharded_engine_matches_unsharded_uniformity() {
         // two-sample χ² sharded-vs-unsharded: both draw from uniform,
         // so the homogeneity statistic must stay within threshold too.
         let unsharded = Engine::build(&r, &s, &SampleConfig::new(l), algo);
-        let base_samples = unsharded.handle_seeded(0xBEEF).sample(draws).unwrap();
+        let base_samples = unsharded.handle_seeded(0xBEEF).sample_batch(draws).unwrap();
         let mut base_freq: HashMap<JoinPair, usize> = HashMap::new();
         for p in base_samples {
             *base_freq.entry(p).or_default() += 1;
@@ -305,7 +309,8 @@ fn concurrent_threads_share_one_sharded_engine() {
                     let engine = Arc::clone(engine);
                     scope.spawn(move || {
                         let mut h = engine.handle_seeded(0xFEED ^ tid);
-                        h.sample(PER_THREAD).expect("non-empty join must sample")
+                        h.sample_batch(PER_THREAD)
+                            .expect("non-empty join must sample")
                     })
                 })
                 .collect();
@@ -328,30 +333,41 @@ fn concurrent_threads_share_one_sharded_engine() {
     assert!(snap.iterations >= snap.samples);
 }
 
-/// The engine cache: one build per `(dataset, l)`, hits share the
-/// index, and concurrent lookers all get a working engine.
+/// The server's engine map: one build per `(dataset, l)` shape, hits
+/// share the index, and concurrent lookers all get a working engine.
 #[test]
 fn cache_reuses_indexes_across_threads() {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
     let r = pseudo_points(80, 301, 40.0);
     let s = pseudo_points(120, 302, 40.0);
-    let cache = Arc::new(srj::EngineCache::new(4));
-    let builds = AtomicUsize::new(0);
+    let mut registry = DatasetRegistry::new();
+    registry.register(7, r.clone(), s.clone());
+    let config = ServerConfig {
+        cache_capacity: 4,
+        ..ServerConfig::default()
+    };
+    let mut server = Server::start("127.0.0.1:0", registry, config).unwrap();
+    let addr = server.local_addr();
+    let request = |l: f64, t: u64, seed: u64| SampleRequest {
+        req_id: 0,
+        dataset: 7,
+        l,
+        algorithm: Some(Algorithm::Bbst),
+        shards: 1,
+        t,
+        seed,
+    };
 
     thread::scope(|scope| {
         for tid in 0..6u64 {
-            let cache = Arc::clone(&cache);
-            let (r, s, builds) = (&r, &s, &builds);
+            let (r, s) = (&r, &s);
             scope.spawn(move || {
                 // threads alternate between two window sizes
                 let l = if tid % 2 == 0 { 4.0 } else { 5.0 };
-                let engine = cache.get_or_build(7, l, || {
-                    builds.fetch_add(1, Ordering::Relaxed);
-                    Engine::build(r, s, &SampleConfig::new(l), Algorithm::Bbst)
-                });
-                let pairs = engine.handle_seeded(tid).sample(100).unwrap();
-                for p in pairs {
+                let mut client = Client::connect(addr).unwrap();
+                let outcome = client.sample(request(l, 100, tid + 1)).unwrap();
+                assert_eq!(outcome.status, RequestStatus::Ok);
+                assert_eq!(outcome.pairs.len(), 100);
+                for p in outcome.pairs {
                     let w = Rect::window(r[p.r as usize], l);
                     assert!(w.contains(s[p.s as usize]));
                 }
@@ -359,11 +375,18 @@ fn cache_reuses_indexes_across_threads() {
         }
     });
 
-    // at most one build per key can win the race; with benign timing
-    // this is exactly 2, and never more than the 6 lookups
-    assert!(cache.len() == 2, "expected both window sizes cached");
-    assert!(builds.load(Ordering::Relaxed) >= 2);
-    // warm cache: no further builds
-    let again = cache.get_or_build(7, 4.0, || unreachable!("must be cached"));
-    assert!(again.handle_seeded(9).sample_one().is_ok());
+    // at most one engine per key is kept however the build race went;
+    // every lookup is a hit or a miss, and each key missed at least once
+    let mut client = Client::connect(addr).unwrap();
+    let stats = client.server_stats().unwrap();
+    assert_eq!(stats.engines_cached, 2, "expected both window sizes cached");
+    assert!(stats.cache_misses >= 2);
+    assert_eq!(stats.cache_hits + stats.cache_misses, 6);
+    // warm map: no further builds
+    let again = client.sample(request(4.0, 1, 9)).unwrap();
+    assert_eq!(again.status, RequestStatus::Ok);
+    let warm = client.server_stats().unwrap();
+    assert_eq!(warm.cache_misses, stats.cache_misses, "must be cached");
+    assert_eq!(warm.cache_hits, stats.cache_hits + 1);
+    server.shutdown();
 }

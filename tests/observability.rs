@@ -106,7 +106,7 @@ fn maintenance_ladder_journals_expected_event_sequence() {
             .with_repair_min_cell_rejections(8),
     );
     repair_engine.store().set_obs_label(9102);
-    repair_engine.handle_seeded(11).sample(4_000).unwrap();
+    repair_engine.handle_seeded(11).sample_batch(4_000).unwrap();
     repair_engine.refresh();
     assert_eq!(repair_engine.repairs(), 1, "feedback must trigger repair");
     assert_eq!(
@@ -147,7 +147,7 @@ fn maintenance_ladder_journals_expected_event_sequence() {
         replan_engine.insert_r(Point::new(x, y));
         replan_engine.insert_s(Point::new(x + 1.9 * l2, y + 1.9 * l2));
     }
-    replan_engine.handle_seeded(4).sample(2_000).unwrap();
+    replan_engine.handle_seeded(4).sample_batch(2_000).unwrap();
     replan_engine.refresh();
     assert_eq!(replan_engine.replans(), 1, "divergence must re-plan");
     assert_eq!(replan_engine.algorithm(), Algorithm::Bbst);
