@@ -28,25 +28,8 @@ pub struct AliasTable {
     prob: Vec<f64>,
     /// `alias[i]`: the donor index used when the coin flip rejects `i`.
     alias: Vec<u32>,
-    /// Packed columns for the branchless one-word walk
-    /// ([`AliasTable::sample_word`]); same decision table as
-    /// `prob`/`alias`, with the keep probability pre-scaled to a `u64`
-    /// fixed-point threshold.
-    cols: Vec<AliasCol>,
     /// Sum of the input weights.
     total: f64,
-}
-
-/// One packed column of the branchless walk: 12 bytes of payload, one
-/// cache line holds five columns.
-#[derive(Clone, Copy, Debug)]
-struct AliasCol {
-    /// Keep threshold: `prob[i] · 2⁶⁴`, saturating — a full column
-    /// (`prob == 1.0`) saturates to `u64::MAX` and its alias is the
-    /// identity (the construction only assigns an alias to columns it
-    /// pops from the small stack), so the 2⁻⁶⁴ miss is harmless.
-    thresh: u64,
-    alias: u32,
 }
 
 impl AliasTable {
@@ -54,13 +37,16 @@ impl AliasTable {
     ///
     /// Returns `None` if `weights` is empty, if any weight is negative or
     /// non-finite, or if all weights are zero (no valid draw exists).
-    pub fn new(weights: &[f64]) -> Option<Self> {
+    /// Integer weights (e.g. `u32` counts) are widened in place, so no
+    /// `f64` copy of them is made.
+    pub fn new<W: Copy + Into<f64>>(weights: &[W]) -> Option<Self> {
         let k = weights.len();
         if k == 0 || k > u32::MAX as usize {
             return None;
         }
         let mut total = 0.0;
         for &w in weights {
+            let w: f64 = w.into();
             if !w.is_finite() || w < 0.0 {
                 return None;
             }
@@ -72,7 +58,7 @@ impl AliasTable {
 
         // Scale each weight so the average column height is exactly 1.
         let scale = k as f64 / total;
-        let mut prob: Vec<f64> = weights.iter().map(|&w| w * scale).collect();
+        let mut prob: Vec<f64> = weights.iter().map(|&w| w.into() * scale).collect();
         let mut alias: Vec<u32> = (0..k as u32).collect();
 
         // Two-stack construction: repeatedly top up a "small" column
@@ -103,67 +89,7 @@ impl AliasTable {
             prob[i as usize] = 1.0;
         }
 
-        // 2⁶⁴ as f64; `prob == 1.0` saturates to u64::MAX on the cast.
-        const SCALE_64: f64 = 18_446_744_073_709_551_616.0;
-        let cols = prob
-            .iter()
-            .zip(alias.iter())
-            .map(|(&p, &a)| AliasCol {
-                thresh: (p * SCALE_64) as u64,
-                alias: a,
-            })
-            .collect();
-
-        Some(AliasTable {
-            prob,
-            alias,
-            cols,
-            total,
-        })
-    }
-
-    /// Branchless single-word draw: one uniform `u64` supplies both the
-    /// column index (high bits of the widening multiply — provably
-    /// `< len`, so the indexing bound check vanishes) and the coin flip
-    /// (low product bits against the fixed-point keep threshold).
-    ///
-    /// Distribution-equivalent to [`AliasTable::sample`] up to a
-    /// `len/2⁶⁴` rounding bias — unobservable at any feasible draw
-    /// count — but consumes different RNG bits, so streams drawn
-    /// through the two entry points differ.
-    #[inline]
-    pub fn sample_word(&self, word: u64) -> usize {
-        let wide = (word as u128) * (self.cols.len() as u128);
-        let i = (wide >> 64) as usize;
-        let coin = wide as u64;
-        let col = self.cols[i];
-        if coin < col.thresh {
-            i
-        } else {
-            col.alias as usize
-        }
-    }
-
-    /// Batched draws through the branchless walk: fills `out` with one
-    /// index per slot, one `next_u64` each, inner loop unrolled four
-    /// wide so the widening multiplies pipeline.
-    pub fn sample_many<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [usize]) {
-        let mut chunks = out.chunks_exact_mut(4);
-        for chunk in &mut chunks {
-            let (w0, w1, w2, w3) = (
-                rng.next_u64(),
-                rng.next_u64(),
-                rng.next_u64(),
-                rng.next_u64(),
-            );
-            chunk[0] = self.sample_word(w0);
-            chunk[1] = self.sample_word(w1);
-            chunk[2] = self.sample_word(w2);
-            chunk[3] = self.sample_word(w3);
-        }
-        for slot in chunks.into_remainder() {
-            *slot = self.sample_word(rng.next_u64());
-        }
+        Some(AliasTable { prob, alias, total })
     }
 
     /// Draws an index with probability proportional to its weight.
@@ -202,7 +128,6 @@ impl AliasTable {
     pub fn memory_bytes(&self) -> usize {
         self.prob.capacity() * std::mem::size_of::<f64>()
             + self.alias.capacity() * std::mem::size_of::<u32>()
-            + self.cols.capacity() * std::mem::size_of::<AliasCol>()
     }
 }
 
@@ -210,11 +135,11 @@ impl AliasTable {
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;
-    use rand::{RngCore, SeedableRng};
+    use rand::SeedableRng;
 
     #[test]
     fn rejects_degenerate_input() {
-        assert!(AliasTable::new(&[]).is_none());
+        assert!(AliasTable::new::<f64>(&[]).is_none());
         assert!(AliasTable::new(&[0.0, 0.0]).is_none());
         assert!(AliasTable::new(&[1.0, -0.5]).is_none());
         assert!(AliasTable::new(&[f64::NAN]).is_none());
@@ -282,59 +207,6 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(9);
         let hits = (0..10_000).filter(|_| t.sample(&mut rng) == 500).count();
         assert!(hits > 9_900, "expected ~all draws at index 500, got {hits}");
-    }
-
-    #[test]
-    fn sample_word_tracks_weights() {
-        let weights = [1.0, 2.0, 3.0, 4.0];
-        let t = AliasTable::new(&weights).unwrap();
-        let mut rng = SmallRng::seed_from_u64(42);
-        let draws = 400_000usize;
-        let mut counts = [0usize; 4];
-        for _ in 0..draws {
-            counts[t.sample_word(rng.next_u64())] += 1;
-        }
-        for (i, &w) in weights.iter().enumerate() {
-            let expected = draws as f64 * w / 10.0;
-            let got = counts[i] as f64;
-            let rel = (got - expected).abs() / expected;
-            assert!(rel < 0.02, "index {i}: expected {expected}, got {got}");
-        }
-    }
-
-    #[test]
-    fn sample_word_never_hits_zero_weight() {
-        let t = AliasTable::new(&[0.0, 1.0, 0.0, 3.0, 0.0]).unwrap();
-        let mut rng = SmallRng::seed_from_u64(7);
-        for _ in 0..100_000 {
-            let i = t.sample_word(rng.next_u64());
-            assert!(i == 1 || i == 3, "sampled zero-weight index {i}");
-        }
-        // Edge words: index stays in range and lands on a live column.
-        for w in [0u64, 1, u64::MAX / 2, u64::MAX - 1, u64::MAX] {
-            let i = t.sample_word(w);
-            assert!(i == 1 || i == 3, "edge word {w} gave {i}");
-        }
-    }
-
-    #[test]
-    fn sample_many_matches_sample_word_stream() {
-        let t = AliasTable::new(&[2.0, 5.0, 1.0]).unwrap();
-        let mut a = SmallRng::seed_from_u64(11);
-        let mut b = SmallRng::seed_from_u64(11);
-        let mut batched = [0usize; 23];
-        t.sample_many(&mut a, &mut batched);
-        for (k, &got) in batched.iter().enumerate() {
-            assert_eq!(got, t.sample_word(b.next_u64()), "draw {k} diverged");
-        }
-    }
-
-    #[test]
-    fn single_entry_sample_word_always_returned() {
-        let t = AliasTable::new(&[42.0]).unwrap();
-        for w in [0u64, u64::MAX, 0x1234_5678_9abc_def0] {
-            assert_eq!(t.sample_word(w), 0);
-        }
     }
 
     #[test]

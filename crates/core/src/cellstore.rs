@@ -20,15 +20,16 @@
 //! cells)`.
 
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use rand::Rng;
 use srj_bbst::CellBbsts;
 use srj_geom::{Point, PointId, Rect};
 use srj_grid::{Cell, Grid};
-use srj_kdtree::{CanonicalScratch, KdTree};
+use srj_kdtree::KdTree;
 
-use crate::buffer::DrawBuffers;
+use crate::buffer::KdsScratch;
 use crate::parallel::par_map;
 
 /// A per-cell payload a [`CellStore`] can carry: built from one cell's
@@ -314,50 +315,91 @@ impl KdCellStore {
         total
     }
 
+    /// The lower-left coordinate of the 3×3 cell block `w` covers, when
+    /// the covering walk visits exactly that block in block order. A
+    /// window of half-extent = cell side always spans three cells per
+    /// axis up to rounding at cell borders; a grid of fewer than nine
+    /// non-empty cells is scanned in slot order instead (see
+    /// [`KdCellStore::for_each_covering_slot`]).
+    fn block_3x3(&self, w: &Rect) -> Option<(i32, i32)> {
+        let grid = self.store.grid();
+        let lo = grid.coord_of(Point::new(w.min_x, w.min_y));
+        let hi = grid.coord_of(Point::new(w.max_x, w.max_y));
+        let square = hi.0 as i64 - lo.0 as i64 == 2 && hi.1 as i64 - lo.1 as i64 == 2;
+        (square && grid.num_cells() >= 9).then_some(lo)
+    }
+
     /// One uniform, independent draw from `S ∩ w` (the KDS sampling
-    /// primitive): the covering cell is ranked by exact count, then the
-    /// cell's kd-tree draws uniformly inside it. Returns the **global**
-    /// point id and the exact window count, or `None` when the window
-    /// is empty.
+    /// primitive): a covering cell is ranked by exact count, then the
+    /// draw lands uniformly inside it. Returns the **global** point id
+    /// and the exact window count, or `None` when the window is empty.
     ///
-    /// The per-cell counts are gathered once into a stack buffer (≤ 9
-    /// cells for the window sizes the samplers use) and reused for the
-    /// rank selection — this is the serving system's hottest loop, so
-    /// the covering cells are never range-counted twice. Degenerate
-    /// wide windows (> 9 covering cells) fall back to a re-walk.
-    pub fn sample_in_window<R: Rng + ?Sized>(
-        &self,
-        w: &Rect,
-        rng: &mut R,
-        scratch: &mut CanonicalScratch,
-    ) -> Option<(PointId, usize)> {
-        self.sample_impl(w, rng, scratch, None)
-    }
-
-    /// [`KdCellStore::sample_in_window`] with the buffered fast path:
-    /// when the ranked cell is **fully covered** by `w` (every member
+    /// The per-cell counts of `w`'s 3×3 block come from `memo[key]`,
+    /// filled by the counting walk (up to eight kd-tree range counts)
+    /// on the key's first visit — `key` must name the same window on
+    /// every call. A window whose block is not 3×3, or whose counts do
+    /// not fit an entry, is counted afresh on every call.
+    ///
+    /// When the ranked cell is **fully covered** by `w` (every member
     /// qualifies — with cell side = window half-extent that is the
-    /// common case), the draw skips the kd descent entirely and is
-    /// served from [`DrawBuffers`] — a pre-drawn buffer pop for hot
-    /// cells, the already-drawn in-cell rank for cold ones. Boundary
-    /// cells keep the descent. The distribution is identical; the RNG
-    /// stream is not, so the legacy entry point stays separate.
-    pub fn sample_in_window_buffered<R: Rng + ?Sized>(
+    /// common case) and `scratch.buffers` is armed, the draw skips the
+    /// kd descent and is served from
+    /// [`DrawBuffers`](crate::DrawBuffers): a pre-drawn buffer pop for
+    /// hot cells, the already-drawn in-cell rank for cold ones. Boundary
+    /// cells keep the descent. Memo hits and misses consume the RNG
+    /// identically, so a seed's stream never depends on what earlier
+    /// draws filled.
+    pub(crate) fn sample_in_window<R: Rng + ?Sized>(
         &self,
         w: &Rect,
+        memo: &WindowCountMemo,
+        key: usize,
         rng: &mut R,
-        scratch: &mut CanonicalScratch,
-        buffers: &mut DrawBuffers,
+        scratch: &mut KdsScratch,
     ) -> Option<(PointId, usize)> {
-        self.sample_impl(w, rng, scratch, Some(buffers))
+        let Some(lo) = self.block_3x3(w) else {
+            return self.sample_walk(w, rng, scratch);
+        };
+        let grid = self.store.grid();
+        let slot_at =
+            |pos: usize| grid.cell_slot_at((lo.0 + pos as i32 / 3, lo.1 + pos as i32 % 3));
+        let centre = slot_at(CENTRE).map_or(0, |slot| grid.cell(slot).len());
+        let counts = match memo.get(key) {
+            Some(entry) => decode_counts(entry, centre),
+            None => {
+                let counts: [usize; 9] = std::array::from_fn(|pos| {
+                    slot_at(pos).map_or(0, |slot| self.count_cell(slot, w))
+                });
+                if let Some(entry) = encode_counts(&counts, centre) {
+                    memo.set(key, entry);
+                }
+                counts
+            }
+        };
+        let total: usize = counts.iter().sum();
+        if total == 0 {
+            return None;
+        }
+        let mut rank = rng.gen_range(0..total as u64) as usize;
+        for (pos, &count) in counts.iter().enumerate() {
+            if rank < count {
+                let slot = slot_at(pos).expect("a cell with a positive count exists");
+                return Some((self.draw_in_cell(w, slot, count, rank, rng, scratch), total));
+            }
+            rank -= count;
+        }
+        unreachable!("rank exceeded the window count")
     }
 
-    fn sample_impl<R: Rng + ?Sized>(
+    /// The counting walk without a memo, for windows whose block is not
+    /// 3×3: the per-cell counts are gathered once into a stack buffer
+    /// (≤ 9 non-empty cells) and reused for the rank selection;
+    /// degenerate wide windows (> 9 non-empty covering cells) re-walk.
+    fn sample_walk<R: Rng + ?Sized>(
         &self,
         w: &Rect,
         rng: &mut R,
-        scratch: &mut CanonicalScratch,
-        mut buffers: Option<&mut DrawBuffers>,
+        scratch: &mut KdsScratch,
     ) -> Option<(PointId, usize)> {
         let mut counts: [(u32, usize); 9] = [(0, 0); 9];
         let mut filled = 0usize;
@@ -380,61 +422,179 @@ impl KdCellStore {
             return None;
         }
         let mut rank = rng.gen_range(0..total as u64) as usize;
-        let draw = |slot: u32,
-                    count: usize,
-                    in_cell_rank: usize,
-                    rng: &mut R,
-                    scratch: &mut CanonicalScratch,
-                    buffers: &mut Option<&mut DrawBuffers>| {
-            let cell = self.store.grid().cell(slot);
-            if let Some(bufs) = buffers.as_deref_mut() {
-                if bufs.enabled() && w.contains_rect(&cell.rect) {
-                    // Fully covered: every member qualifies, and the
-                    // in-cell rank is already uniform over them.
-                    debug_assert_eq!(cell.len(), count);
-                    let token = Arc::as_ptr(self.store.unit_arc(slot)) as usize;
-                    let id = bufs.draw_covered(slot, token, &cell.by_x, || in_cell_rank);
-                    return (id, total);
-                }
-            }
-            let (local, in_cell) = self
-                .store
-                .unit(slot)
-                .sample_in_range(w, rng, scratch)
-                .expect("covering cell with a positive count must yield a sample");
-            debug_assert_eq!(in_cell, count);
-            (cell.by_x[local as usize], total)
-        };
         if !overflow {
             for &(slot, count) in &counts[..filled] {
                 if rank < count {
-                    return Some(draw(slot, count, rank, rng, scratch, &mut buffers));
+                    return Some((self.draw_in_cell(w, slot, count, rank, rng, scratch), total));
                 }
                 rank -= count;
             }
             unreachable!("rank exceeded the window count");
         }
-        // Wide-window fallback: re-walk the covering cells to locate
-        // the ranked one.
-        let mut picked: Option<(PointId, usize)> = None;
+        let mut picked: Option<PointId> = None;
         self.for_each_covering_slot(w, |slot| {
             if picked.is_some() {
                 return;
             }
             let count = self.count_cell(slot, w);
             if rank < count {
-                picked = Some(draw(slot, count, rank, rng, scratch, &mut buffers));
+                picked = Some(self.draw_in_cell(w, slot, count, rank, rng, scratch));
             } else {
                 rank -= count;
             }
         });
-        Some(picked.expect("rank exceeded the window count"))
+        Some((picked.expect("rank exceeded the window count"), total))
+    }
+
+    /// One uniform draw among the `count` members of cell `slot` inside
+    /// `w`, given a uniform `in_cell_rank < count` the cell selection
+    /// already consumed.
+    fn draw_in_cell<R: Rng + ?Sized>(
+        &self,
+        w: &Rect,
+        slot: u32,
+        count: usize,
+        in_cell_rank: usize,
+        rng: &mut R,
+        scratch: &mut KdsScratch,
+    ) -> PointId {
+        let cell = self.store.grid().cell(slot);
+        if scratch.buffers.enabled() && w.contains_rect(&cell.rect) {
+            // Fully covered: every member qualifies, and the in-cell
+            // rank is already uniform over them.
+            debug_assert_eq!(cell.len(), count);
+            let token = Arc::as_ptr(self.store.unit_arc(slot)) as usize;
+            return scratch
+                .buffers
+                .draw_covered(slot, token, &cell.by_x, || in_cell_rank);
+        }
+        let (local, in_cell) = self
+            .store
+            .unit(slot)
+            .sample_in_range(w, rng, &mut scratch.kd)
+            .expect("covering cell with a positive count must yield a sample");
+        debug_assert_eq!(in_cell, count);
+        cell.by_x[local as usize]
     }
 
     /// Approximate heap footprint (grid + per-cell trees).
     pub fn memory_bytes(&self) -> usize {
         self.store.memory_bytes()
     }
+}
+
+/// Position of the centre cell in a 3×3 block walked x-major
+/// (`pos = 3·dx + dy`).
+const CENTRE: usize = 4;
+
+/// Entries per [`WindowCountMemo`] chunk: 2048 × 16 bytes of counts
+/// plus 256 bytes of ready bits, ~32 KiB.
+const MEMO_CHUNK_SHIFT: u32 = 11;
+const MEMO_CHUNK: usize = 1 << MEMO_CHUNK_SHIFT;
+/// Ready-bit words leading each chunk.
+const MEMO_READY_WORDS: usize = MEMO_CHUNK / 64;
+
+/// A lazily filled, lock-free memo of window cell counts: one entry per
+/// key (an index's `R` point), holding the exact counts of `S ∩ w(r)`
+/// in the eight off-centre cells of `w(r)`'s 3×3 block as `u16`s. The
+/// centre cell lies inside every such window, so its count is its
+/// population and is not stored.
+///
+/// Entries are filled by [`KdCellStore::sample_in_window`] on a key's
+/// first visit and published by a per-entry ready bit: the counts are
+/// stored, then the bit is set with `Release`, and readers load it with
+/// `Acquire`. Racing fillers compute and store identical values, so no
+/// lock is needed.
+///
+/// The table is allocated with its index, in chunks of [`MEMO_CHUNK`]
+/// entries, each far below glibc's mmap threshold. Allocating the
+/// chunks on first touch instead, mid-run in the serving threads'
+/// malloc arenas, made the `read_hot` benchmark peak at 26–40 MiB RSS
+/// against 22–25 MiB.
+pub(crate) struct WindowCountMemo {
+    chunks: Box<[Box<[AtomicU64]>]>,
+}
+
+impl WindowCountMemo {
+    /// An empty memo for keys `0..len`.
+    pub(crate) fn new(len: usize) -> Self {
+        let chunks = (0..len.div_ceil(MEMO_CHUNK))
+            .map(|c| {
+                let entries = (len - c * MEMO_CHUNK).min(MEMO_CHUNK);
+                (0..MEMO_READY_WORDS + 2 * entries)
+                    .map(|_| AtomicU64::new(0))
+                    .collect()
+            })
+            .collect();
+        WindowCountMemo { chunks }
+    }
+
+    /// The chunk holding `key` and the key's position in it.
+    #[inline]
+    fn locate(&self, key: usize) -> (&[AtomicU64], usize) {
+        (
+            &self.chunks[key >> MEMO_CHUNK_SHIFT],
+            key & (MEMO_CHUNK - 1),
+        )
+    }
+
+    /// The stored counts of `key`, once filled.
+    #[inline]
+    fn get(&self, key: usize) -> Option<[u64; 2]> {
+        let (chunk, i) = self.locate(key);
+        if chunk[i / 64].load(Ordering::Acquire) & (1 << (i % 64)) == 0 {
+            return None;
+        }
+        let at = MEMO_READY_WORDS + 2 * i;
+        Some([
+            chunk[at].load(Ordering::Relaxed),
+            chunk[at + 1].load(Ordering::Relaxed),
+        ])
+    }
+
+    /// Stores `entry` for `key` and publishes it.
+    fn set(&self, key: usize, entry: [u64; 2]) {
+        let (chunk, i) = self.locate(key);
+        let at = MEMO_READY_WORDS + 2 * i;
+        chunk[at].store(entry[0], Ordering::Relaxed);
+        chunk[at + 1].store(entry[1], Ordering::Relaxed);
+        chunk[i / 64].fetch_or(1 << (i % 64), Ordering::Release);
+    }
+
+    /// Heap footprint.
+    pub(crate) fn memory_bytes(&self) -> usize {
+        self.chunks
+            .iter()
+            .map(|c| std::mem::size_of::<Box<[AtomicU64]>>() + std::mem::size_of_val(&**c))
+            .sum()
+    }
+}
+
+/// Packs a block's off-centre counts into a memo entry, or `None` when
+/// a count does not fit a `u16` or the centre cell is not fully inside
+/// the window (possible only through rounding at cell borders).
+fn encode_counts(counts: &[usize; 9], centre: usize) -> Option<[u64; 2]> {
+    if counts[CENTRE] != centre {
+        return None;
+    }
+    let mut entry = [0u64; 2];
+    let off = counts[..CENTRE].iter().chain(&counts[CENTRE + 1..]);
+    for (k, &count) in off.enumerate() {
+        entry[k / 4] |= u64::from(u16::try_from(count).ok()?) << (16 * (k % 4));
+    }
+    Some(entry)
+}
+
+/// Unpacks a memo entry into the block's nine counts.
+#[inline]
+fn decode_counts(entry: [u64; 2], centre: usize) -> [usize; 9] {
+    std::array::from_fn(|pos| match pos {
+        CENTRE => centre,
+        _ => {
+            let k = pos - usize::from(pos > CENTRE);
+            (entry[k / 4] >> (16 * (k % 4))) as u16 as usize
+        }
+    })
 }
 
 #[cfg(test)]
@@ -482,11 +642,14 @@ mod tests {
             .collect();
         assert!(qualifying.len() > 5, "test window too sparse");
         let mut rng = SmallRng::seed_from_u64(7);
-        let mut scratch = CanonicalScratch::new();
+        let mut scratch = KdsScratch::default();
+        let memo = WindowCountMemo::new(1);
         let mut freq: HashMap<u32, u64> = HashMap::new();
         let draws = 40_000;
         for _ in 0..draws {
-            let (id, count) = store.sample_in_window(&w, &mut rng, &mut scratch).unwrap();
+            let (id, count) = store
+                .sample_in_window(&w, &memo, 0, &mut rng, &mut scratch)
+                .unwrap();
             assert_eq!(count, qualifying.len());
             assert!(w.contains(s[id as usize]));
             *freq.entry(id).or_default() += 1;
@@ -538,12 +701,119 @@ mod tests {
         assert_eq!(patched.count_window(&w), brute);
         // Sampling never emits a dead id.
         let mut rng = SmallRng::seed_from_u64(9);
-        let mut scratch = CanonicalScratch::new();
+        let mut scratch = KdsScratch::default();
+        let memo = WindowCountMemo::new(1);
         for _ in 0..2_000 {
             let (id, _) = patched
-                .sample_in_window(&w, &mut rng, &mut scratch)
+                .sample_in_window(&w, &memo, 0, &mut rng, &mut scratch)
                 .unwrap();
             assert!(!deleted.contains(&id));
         }
+    }
+
+    /// Brute-force counts of `S ∩ w` per position of the 3×3 block at
+    /// `lo`, in the walk's x-major order.
+    fn brute_block_counts(
+        store: &KdCellStore,
+        s: &[Point],
+        w: &Rect,
+        lo: (i32, i32),
+    ) -> [usize; 9] {
+        let grid = store.grid();
+        std::array::from_fn(|pos| {
+            let coord = (lo.0 + pos as i32 / 3, lo.1 + pos as i32 % 3);
+            s.iter()
+                .filter(|&&p| grid.coord_of(p) == coord && w.contains(p))
+                .count()
+        })
+    }
+
+    #[test]
+    fn memo_entries_equal_brute_force_block_counts() {
+        let side = 6.0;
+        let s = pseudo_points(900, 41, 60.0);
+        let store = KdCellStore::build(&s, side, 1);
+        // Random centres, plus centres on cell borders and corners.
+        let mut centres = pseudo_points(200, 43, 60.0);
+        centres.extend([
+            Point::new(18.0, 30.0),
+            Point::new(24.0, 24.0),
+            Point::new(30.0, 33.5),
+        ]);
+        let memo = WindowCountMemo::new(centres.len());
+        let mut rng = SmallRng::seed_from_u64(5);
+        let mut scratch = KdsScratch::default();
+        let mut memoised = 0;
+        for (key, &c) in centres.iter().enumerate() {
+            let w = Rect::window(c, side);
+            let drawn = store.sample_in_window(&w, &memo, key, &mut rng, &mut scratch);
+            let brute_total = s.iter().filter(|p| w.contains(**p)).count();
+            assert_eq!(drawn.map_or(0, |(_, n)| n), brute_total, "window {w:?}");
+            let Some(lo) = store.block_3x3(&w) else {
+                assert!(memo.get(key).is_none());
+                continue;
+            };
+            let brute = brute_block_counts(&store, &s, &w, lo);
+            let centre = store
+                .grid()
+                .cell_at((lo.0 + 1, lo.1 + 1))
+                .map_or(0, |cell| cell.len());
+            let entry = memo
+                .get(key)
+                .expect("a 3×3 window is memoised on first visit");
+            assert_eq!(decode_counts(entry, centre), brute, "window {w:?}");
+            memoised += 1;
+        }
+        assert!(memoised > 150, "too few windows took the memo ({memoised})");
+        // A border centre's window still spans a 3×3 block.
+        assert!(store
+            .block_3x3(&Rect::window(Point::new(24.0, 24.0), side))
+            .is_some());
+    }
+
+    #[test]
+    fn oversized_cell_counts_fall_back_and_draw_correctly() {
+        let side = 10.0;
+        // One cell holds more than u16::MAX points; a ring of sparse
+        // cells around it keeps the grid above nine cells.
+        let mut s: Vec<Point> = pseudo_points(70_000, 51, 10.0)
+            .into_iter()
+            .map(|p| Point::new(p.x * 0.999 + 20.0, p.y * 0.999 + 20.0))
+            .collect();
+        for cx in 0..5 {
+            for cy in 0..5 {
+                s.push(Point::new(cx as f64 * side + 5.0, cy as f64 * side + 5.0));
+            }
+        }
+        let store = KdCellStore::build(&s, side, 1);
+        // Key 0: the dense cell is off-centre — its count does not fit
+        // an entry. Key 1: the dense cell is the centre, whose count is
+        // never stored.
+        let windows = [
+            Rect::window(Point::new(19.9, 25.0), side),
+            Rect::window(Point::new(25.0, 25.0), side),
+        ];
+        let memo = WindowCountMemo::new(windows.len());
+        let mut rng = SmallRng::seed_from_u64(3);
+        let mut scratch = KdsScratch::default();
+        for (key, w) in windows.iter().enumerate() {
+            let brute = s.iter().filter(|p| w.contains(**p)).count();
+            assert!(brute > usize::from(u16::MAX));
+            for _ in 0..200 {
+                let (id, count) = store
+                    .sample_in_window(w, &memo, key, &mut rng, &mut scratch)
+                    .unwrap();
+                assert_eq!(count, brute);
+                assert!(w.contains(s[id as usize]));
+            }
+        }
+        assert!(
+            memo.get(0).is_none(),
+            "an oversized count must not be memoised"
+        );
+        assert!(
+            memo.get(1).is_some(),
+            "the centre's population is never stored"
+        );
     }
 }

@@ -6,7 +6,7 @@ use srj_alias::AliasTable;
 use srj_geom::{Point, Rect};
 
 use crate::buffer::{BufferStats, KdsScratch};
-use crate::cellstore::KdCellStore;
+use crate::cellstore::{KdCellStore, WindowCountMemo};
 use crate::config::{JoinPair, PhaseReport, SampleConfig, SampleError};
 use crate::cursor::{Cursor, SamplerIndex};
 use crate::parallel::par_map;
@@ -28,8 +28,11 @@ use crate::traits::JoinSampler;
 /// [`KdsIndex::build`]; wrap it in an [`Arc`] and hand every serving
 /// thread its own [`KdsCursor`]. Per sample, a cursor draws `r` from the
 /// alias and one uniform point from `S ∩ w(r)` via spatial independent
-/// range sampling (`O(√m)`). Every pair of `J` is emitted with
-/// probability exactly `1/|J|`; no rejections ever occur
+/// range sampling (`O(√m)`). The per-cell counts that draw ranks by are
+/// memoised per `r` (`WindowCountMemo`, 16 bytes each, filled on
+/// `r`'s first draw), so a repeat visit pays only the descent inside a
+/// boundary cell (`O(1)` for a fully covered one). Every pair of `J` is
+/// emitted with probability exactly `1/|J|`; no rejections ever occur
 /// (`iterations == samples`).
 ///
 /// Total: `O((n + t)√m)` time, `O(n + m)` space.
@@ -40,6 +43,8 @@ pub struct KdsIndex {
     /// and an epoch engine can patch it cell by cell.
     s_cells: Arc<KdCellStore>,
     alias: Option<AliasTable>,
+    /// Per-`r` window cell counts, filled by the draws.
+    window_counts: WindowCountMemo,
     join_size: u64,
     config: SampleConfig,
     build_report: PhaseReport,
@@ -116,6 +121,7 @@ impl KdsIndex {
             r_points: r.to_vec(),
             s_cells,
             alias,
+            window_counts: WindowCountMemo::new(r.len()),
             join_size,
             config: *config,
             build_report: PhaseReport {
@@ -157,6 +163,7 @@ impl KdsIndex {
         self.r_points.capacity() * std::mem::size_of::<Point>()
             + self.s_cells.memory_bytes()
             + self.alias.as_ref().map_or(0, AliasTable::memory_bytes)
+            + self.window_counts.memory_bytes()
     }
 }
 
@@ -181,13 +188,10 @@ impl SamplerIndex for KdsIndex {
         let w = Rect::window(self.r_points[ridx], self.config.half_extent);
         // The alias only returns r with a positive count, so the window
         // is non-empty and the draw cannot fail.
-        let (sid, _count) = if scratch.buffers.enabled() {
-            self.s_cells
-                .sample_in_window_buffered(&w, rng, &mut scratch.kd, &mut scratch.buffers)
-        } else {
-            self.s_cells.sample_in_window(&w, rng, &mut scratch.kd)
-        }
-        .expect("alias returned an r with zero range count");
+        let (sid, _count) = self
+            .s_cells
+            .sample_in_window(&w, &self.window_counts, ridx, rng, scratch)
+            .expect("alias returned an r with zero range count");
         stats.samples += 1;
         Ok(Some(JoinPair::new(ridx as u32, sid)))
     }

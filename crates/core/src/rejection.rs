@@ -2,7 +2,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::buffer::{BufferStats, KdsScratch};
-use crate::cellstore::KdCellStore;
+use crate::cellstore::{KdCellStore, WindowCountMemo};
 use crate::config::{JoinPair, PhaseReport, SampleConfig, SampleError};
 use crate::cursor::{Cursor, SamplerIndex};
 use crate::parallel::par_map;
@@ -25,6 +25,13 @@ use srj_grid::Grid;
 /// almost entirely outside the window), so the expected iteration count
 /// `Σµ/|J|` can be large — the drawback the proposed algorithm fixes.
 ///
+/// Each iteration needs the exact per-cell counts of `S ∩ w(r)` to draw
+/// inside the window. They depend only on `r`, so the index memoises
+/// them per `r` (`WindowCountMemo`, 16 bytes each, filled on `r`'s
+/// first draw): a repeat visit reads the counts in `O(1)` and only the
+/// draw inside a boundary cell descends its kd-tree, keeping the
+/// per-iteration bound at `O(√m)` (`O(1)` for a fully covered cell).
+///
 /// `Send + Sync`, never mutated after build; share it via [`Arc`] and
 /// give each thread its own [`KdsRejectionCursor`].
 ///
@@ -38,9 +45,12 @@ pub struct KdsRejectionIndex {
     /// [`KdsRejectionIndex::build_shared`]), and an epoch engine can
     /// patch it cell by cell.
     s_cells: Arc<KdCellStore>,
-    /// Per-`r` upper bounds `µ(r)` (the alias weights).
-    mu: Vec<f64>,
+    /// Per-`r` upper bounds `µ(r)` (the alias weights): cell
+    /// populations, so integers.
+    mu: Vec<u32>,
     alias: Option<AliasTable>,
+    /// Per-`r` window cell counts, filled by the draws.
+    window_counts: WindowCountMemo,
     config: SampleConfig,
     build_report: PhaseReport,
 }
@@ -131,7 +141,7 @@ impl KdsRejectionIndex {
         let t2 = Instant::now();
         let grid = s_cells.grid();
         let (mu, par) = par_map(r, config.build_threads, |_, &rp| {
-            grid.neighborhood_population(rp) as f64
+            u32::try_from(grid.neighborhood_population(rp)).expect("µ(r) ≤ |S| fits a point id")
         });
         let alias = AliasTable::new(&mu);
         let upper_bounding = t2.elapsed();
@@ -142,6 +152,7 @@ impl KdsRejectionIndex {
             s_cells,
             mu,
             alias,
+            window_counts: WindowCountMemo::new(r.len()),
             config: *config,
             build_report: PhaseReport {
                 preprocessing,
@@ -170,7 +181,7 @@ impl KdsRejectionIndex {
 
     /// Upper bound `µ(r)` for one query point.
     pub fn mu_of(&self, ridx: usize) -> f64 {
-        self.mu[ridx]
+        f64::from(self.mu[ridx])
     }
 
     /// The configuration the index was built with.
@@ -187,8 +198,9 @@ impl KdsRejectionIndex {
     pub fn memory_bytes(&self) -> usize {
         self.r_points.capacity() * std::mem::size_of::<Point>()
             + self.s_cells.memory_bytes()
-            + self.mu.capacity() * std::mem::size_of::<f64>()
+            + self.mu.capacity() * std::mem::size_of::<u32>()
             + self.alias.as_ref().map_or(0, AliasTable::memory_bytes)
+            + self.window_counts.memory_bytes()
     }
 }
 
@@ -213,15 +225,12 @@ impl SamplerIndex for KdsRejectionIndex {
         let w = Rect::window(self.r_points[ridx], self.config.half_extent);
         // µ(r) > 0 does not imply the window is non-empty: the nine
         // cells may hold points only outside w(r).
-        let drawn = if scratch.buffers.enabled() {
-            self.s_cells
-                .sample_in_window_buffered(&w, rng, &mut scratch.kd, &mut scratch.buffers)
-        } else {
-            self.s_cells.sample_in_window(&w, rng, &mut scratch.kd)
-        };
+        let drawn = self
+            .s_cells
+            .sample_in_window(&w, &self.window_counts, ridx, rng, scratch);
         if let Some((sid, count)) = drawn {
             // Accept with probability |S(w(r))| / µ(r).
-            if rng.gen::<f64>() * self.mu[ridx] < count as f64 {
+            if rng.gen::<f64>() * self.mu_of(ridx) < count as f64 {
                 stats.samples += 1;
                 return Ok(Some(JoinPair::new(ridx as u32, sid)));
             }
