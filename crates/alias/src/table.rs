@@ -209,6 +209,93 @@ mod tests {
         assert!(hits > 9_900, "expected ~all draws at index 500, got {hits}");
     }
 
+    /// An RNG that replays fixed words, so a draw's column word (first
+    /// `next_u64`) and coin word (second) can be chosen directly.
+    struct Words<'a>(std::slice::Iter<'a, u64>);
+
+    impl rand::RngCore for Words<'_> {
+        fn next_u32(&mut self) -> u32 {
+            self.next_u64() as u32
+        }
+        fn next_u64(&mut self) -> u64 {
+            *self.0.next().expect("draw took more words than supplied")
+        }
+        fn fill_bytes(&mut self, _dest: &mut [u8]) {
+            unreachable!("draws take whole words")
+        }
+    }
+
+    /// Draws once with column word `col` and coin word `coin`.
+    fn sample_words(t: &AliasTable, col: u64, coin: u64) -> usize {
+        t.sample(&mut Words([col, coin].iter()))
+    }
+
+    /// Words at the edges of the domain and of each of `k` column spans.
+    fn edge_words(k: u64) -> Vec<u64> {
+        let mut words = vec![0, 1, u64::MAX / 2, u64::MAX - 1, u64::MAX];
+        for j in 1..k {
+            let start = j * (u64::MAX / k + 1);
+            words.extend([start - 1, start]);
+        }
+        words
+    }
+
+    #[test]
+    fn sample_word_tracks_weights() {
+        // Integer weights, as the rejection baseline passes its µ(r)
+        // counts. A full grid of column and coin words reproduces the
+        // weights up to the grid's resolution, with no sampling noise.
+        let weights = [1u32, 2, 3, 4];
+        let t = AliasTable::new(&weights).unwrap();
+        let (cols, coins) = (64u64, 1000u64);
+        let mut counts = [0usize; 4];
+        for c in 0..cols {
+            for m in 0..coins {
+                let col = c * (u64::MAX / cols + 1);
+                let coin = m * (u64::MAX / coins + 1);
+                counts[sample_words(&t, col, coin)] += 1;
+            }
+        }
+        let draws = (cols * coins) as f64;
+        for (i, &w) in weights.iter().enumerate() {
+            let expected = draws * w as f64 / 10.0;
+            let got = counts[i] as f64;
+            let rel = (got - expected).abs() / expected;
+            assert!(rel < 0.02, "index {i}: expected {expected}, got {got}");
+        }
+        // Widening the integer weights changes neither table nor stream.
+        let widened = AliasTable::new(&[1.0, 2.0, 3.0, 4.0]).unwrap();
+        let mut a = SmallRng::seed_from_u64(42);
+        let mut b = SmallRng::seed_from_u64(42);
+        for k in 0..1000 {
+            assert_eq!(t.sample(&mut a), widened.sample(&mut b), "draw {k}");
+        }
+    }
+
+    #[test]
+    fn sample_word_never_hits_zero_weight() {
+        let t = AliasTable::new(&[0.0, 1.0, 0.0, 3.0, 0.0]).unwrap();
+        let words = edge_words(t.len() as u64);
+        for &col in &words {
+            for &coin in &words {
+                let i = sample_words(&t, col, coin);
+                assert!(i == 1 || i == 3, "words ({col}, {coin}) gave {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn single_entry_sample_word_always_returned() {
+        let t = AliasTable::new(&[42u32]).unwrap();
+        assert_eq!(t.total_weight(), 42.0);
+        let words = edge_words(1);
+        for &col in &words {
+            for &coin in &words {
+                assert_eq!(sample_words(&t, col, coin), 0);
+            }
+        }
+    }
+
     #[test]
     fn memory_accounting_nonzero() {
         let t = AliasTable::new(&[1.0, 2.0]).unwrap();
